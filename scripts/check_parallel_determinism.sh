@@ -16,7 +16,11 @@
 # 6. Runs E1 with the sparse resolver (default) and the dense oracle
 #    (REPRO_RESOLVER=dense) and requires the two saved reports to be
 #    byte-identical — the end-to-end differential gate for the
-#    O(events) kernel.
+#    O(events) kernel.  Same gate on E6, the jammed 1-to-n path.
+# 6a. Stored-baseline gate: runs E1, E6, E8 and E18 at the defaults
+#    (seed 0, quick) and requires each saved report to be
+#    byte-identical to its file in results/baseline/ — a kernel speed-up
+#    must not move any random stream.
 # 6b. Runs E1 serially and with --batch 8 and requires the two saved
 #    reports to be byte-identical — the end-to-end gate for the
 #    trial-batched kernel.
@@ -102,6 +106,25 @@ if ! cmp "$tmp/sparse/E1.json" "$tmp/dense/E1.json"; then
     exit 1
 fi
 echo "OK: E1 report byte-identical sparse vs dense oracle"
+
+echo "== stored baselines: run E1 E6 E8 E18 --seed 0 vs results/baseline/ =="
+for eid in E1 E6 E8 E18; do
+    python -m repro.cli run "$eid" --seed 0 --save "$tmp/baseline" > /dev/null
+    if ! cmp "$tmp/baseline/$eid.json" "results/baseline/$eid.json"; then
+        echo "FAIL: $eid report differs from results/baseline/$eid.json" >&2
+        exit 1
+    fi
+done
+echo "OK: E1 E6 E8 E18 byte-identical to the stored baselines"
+
+echo "== CLI byte-identity: sparse resolver vs dense oracle (run E6) =="
+REPRO_RESOLVER=dense python -m repro.cli run E6 --seed 0 \
+    --save "$tmp/e6-dense" > /dev/null
+if ! cmp "$tmp/baseline/E6.json" "$tmp/e6-dense/E6.json"; then
+    echo "FAIL: dense-oracle E6 report differs from sparse report" >&2
+    exit 1
+fi
+echo "OK: E6 report byte-identical sparse vs dense oracle"
 
 echo "== CLI byte-identity: serial vs trial-batched (run E1 -B 8) =="
 python -m repro.cli run E1 --seed 11 --batch 8 --save "$tmp/batched" > /dev/null

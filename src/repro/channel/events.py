@@ -66,6 +66,15 @@ class TxKind(IntEnum):
 #: Number of distinct :class:`SlotStatus` values (size of count matrices).
 N_STATUS: int = len(SlotStatus)
 
+# Plain-int copies of the SlotStatus values for per-phase code: on
+# Python 3.11 every ``SlotStatus.X`` read is an ``EnumType.__getattr__``
+# call, and the resolver and protocols make several per phase.
+STATUS_CLEAR = int(SlotStatus.CLEAR)
+STATUS_NOISE = int(SlotStatus.NOISE)
+STATUS_DATA = int(SlotStatus.DATA)
+STATUS_NACK = int(SlotStatus.NACK)
+STATUS_ACK = int(SlotStatus.ACK)
+
 # Shared spoof-free placeholders for the O(1) plan constructors; marked
 # read-only because they are aliased across every silent/suffix/prefix
 # plan in a run.

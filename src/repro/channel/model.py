@@ -33,6 +33,7 @@ Semantics implemented (Section 1.2 of the paper):
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -40,12 +41,13 @@ import numpy as np
 
 from repro.channel.events import (
     N_STATUS,
+    STATUS_DATA,
+    STATUS_NOISE,
     JamPlan,
     ListenEvents,
     PhaseOutcome,
     SendEvents,
     SlotSet,
-    SlotStatus,
 )
 from repro.channel.model_dense import (
     resolve_phase_dense,
@@ -102,27 +104,93 @@ def _unique_tx_content(
         tx_slots, return_index=True, return_counts=True
     )
     statuses = tx_kinds[first].astype(np.int8)
-    statuses[counts >= 2] = SlotStatus.NOISE
+    statuses[counts >= 2] = STATUS_NOISE
     return uniq, statuses
 
 
-# Membership tests against a few thousand keys drawn from a bounded
-# virtual key space are faster as dense scatter/gather than as binary
-# search over the full event arrays, but only while the key space fits
-# comfortably in memory; past this limit the batch resolver falls back
-# to searchsorted.  Scratch buffers are reused across phases (callers
-# reset exactly the entries they wrote) so the per-phase cost is the
-# touched entries, not a key-space-sized memset.
+# Membership tests against keys drawn from a bounded key space are
+# faster as dense scatter/gather than as binary search over the full
+# event arrays, but only while the key space fits comfortably in
+# memory; past a limit the resolvers fall back to searchsorted.  The
+# serial resolver's limit is lower because it runs on every default
+# run: a 2**19 key space keeps its scratch buffers near 1 MB, so peak
+# memory does not move (2**23 measured +8.4 MB on multichannel runs,
+# whose C·L virtual slots make large key spaces common).
 _DENSE_KEY_LIMIT = 1 << 23
-_dense_scratch: "dict[str, np.ndarray]" = {}
+_SERIAL_DENSE_KEY_LIMIT = 1 << 19
+
+
+class _Scratch(threading.local):
+    """Per-thread scratch buffers for the dense scatter/gather passes.
+
+    A buffer is all zeros between passes: each pass scatters its
+    entries, gathers, and resets exactly the entries it wrote in a
+    ``finally``, so the per-phase cost is the touched entries, not a
+    key-space-sized memset.  An exception (or a timeout signal) mid-pass
+    cannot leave stale entries behind, and threads never share one.
+    """
+
+    def __init__(self) -> None:
+        self.bufs: "dict[str, np.ndarray]" = {}
+
+
+_scratch = _Scratch()
 
 
 def _dense_buf(name: str, size: int, dtype) -> np.ndarray:
-    buf = _dense_scratch.get(name)
+    bufs = _scratch.bufs
+    buf = bufs.get(name)
     if buf is None or buf.shape[0] < size:
         buf = np.zeros(size, dtype=dtype)
-        _dense_scratch[name] = buf
+        bufs[name] = buf
     return buf
+
+
+def _absent_keys(
+    present: np.ndarray, queries: np.ndarray, key_space: int, limit: int
+) -> np.ndarray:
+    """Boolean mask of the ``queries`` that are not among ``present``.
+
+    Both key arrays lie in ``[0, key_space)``.  Dense scatter/gather up
+    to ``limit``, O(#keys); binary search above it, O(#keys log
+    #present), which sorts ``present`` in place.
+    """
+    if key_space <= limit:
+        busy = _dense_buf("halfdup", key_space, np.bool_)
+        try:
+            busy[present] = True
+            return ~busy[queries]
+        finally:
+            busy[present] = False
+    present.sort()
+    pos = np.searchsorted(present, queries)
+    np.minimum(pos, len(present) - 1, out=pos)
+    return present[pos] != queries
+
+
+def _content_at(
+    uniq_tx: np.ndarray,
+    tx_status: np.ndarray,
+    slots: np.ndarray,
+    slot_space: int,
+    limit: int,
+) -> np.ndarray:
+    """Un-jammed content status (int8) under each queried slot.
+
+    ``uniq_tx``/``tx_status`` come from :func:`_unique_tx_content`;
+    slots without a transmission read CLEAR.  Dense scatter/gather up
+    to ``limit`` slots, binary search into ``uniq_tx`` above it.
+    """
+    if slot_space <= limit:
+        content = _dense_buf("content", slot_space, np.int8)
+        try:
+            content[uniq_tx] = tx_status
+            return content[slots]
+        finally:
+            content[uniq_tx] = 0
+    pos = np.searchsorted(uniq_tx, slots)
+    np.minimum(pos, len(uniq_tx) - 1, out=pos)
+    return np.where(uniq_tx[pos] == slots, tx_status[pos], np.int8(0))
 
 
 def slot_content_at(
@@ -184,8 +252,13 @@ def resolve_phase(
 
     Notes
     -----
-    Cost is ``O(E log E)`` for ``E = #sends + #listens + #spoofs +
-    #jam intervals`` — independent of ``length``.  Bit-identical to
+    With ``E = #sends + #listens + #spoofs + #jam intervals``, cost is
+    O(E log E) for the collision ``unique`` and jam-interval queries.
+    The half-duplex filter and the content lookup are O(E) dense
+    scatter/gather passes while ``n_nodes * length`` stays within
+    :data:`_SERIAL_DENSE_KEY_LIMIT`, and O(E log E) binary searches
+    above it; either way the cost is independent of ``length``.
+    Bit-identical to
     :func:`~repro.channel.model_dense.resolve_phase_dense`.
     """
     groups = validate_phase_inputs(length, n_nodes, sends, listens, plan, groups)
@@ -198,52 +271,49 @@ def resolve_phase(
         tx_status = np.empty(0, np.int8)
 
     # Half-duplex: drop listen events that coincide with the same node's
-    # own send.  Key each (node, slot) pair into a single int64 and
-    # binary-search the listen keys against the sorted send keys (the
-    # sort is O(#sends log #sends); `np.isin` would re-sort *both* sides
-    # and build an intermediate boolean lattice every phase).
+    # own send, keying each (node, slot) pair into a single int64.
     listen_nodes, listen_slots = listens.nodes, listens.slots
     if len(sends) and len(listens):
-        send_keys = np.sort(sends.nodes * length + sends.slots)
-        listen_keys = listen_nodes * length + listen_slots
-        pos = np.searchsorted(send_keys, listen_keys)
-        safe = np.minimum(pos, len(send_keys) - 1)
-        keep = send_keys[safe] != listen_keys
+        keep = _absent_keys(
+            sends.nodes * length + sends.slots,
+            listen_nodes * length + listen_slots,
+            n_nodes * length,
+            _SERIAL_DENSE_KEY_LIMIT,
+        )
         listen_nodes = listen_nodes[keep]
         listen_slots = listen_slots[keep]
 
-    # Un-jammed content status under each listen event, via one binary
-    # search into the distinct transmission slots.
+    # Un-jammed content status under each listen event.
     if len(uniq_tx) and len(listen_slots):
-        pos = np.searchsorted(uniq_tx, listen_slots)
-        safe = np.minimum(pos, len(uniq_tx) - 1)
-        hit = uniq_tx[safe] == listen_slots
-        base_status = np.zeros(len(listen_slots), dtype=np.int64)
-        base_status[hit] = tx_status[safe[hit]]
+        base_status = _content_at(
+            uniq_tx, tx_status, listen_slots, length, _SERIAL_DENSE_KEY_LIMIT
+        )
     else:
-        base_status = np.zeros(len(listen_slots), dtype=np.int64)
+        base_status = np.zeros(len(listen_slots), dtype=np.int8)
 
     # Per-group views: jamming overrides content with NOISE.  Group
     # count is tiny (<= l <= 2 in the paper's experiments); per group
-    # the work is one interval-membership query per event.
+    # the work is one interval-membership query per event.  With one
+    # group every listen belongs to it, and the split is skipped.
     group_ids = np.unique(groups)
     heard = np.zeros((n_nodes, N_STATUS), dtype=np.int64)
-    is_data_tx = tx_status == SlotStatus.DATA
+    is_data_tx = tx_status == STATUS_DATA
     data_decodable = np.zeros(int(is_data_tx.sum()), dtype=bool)
     data_tx_slots = uniq_tx[is_data_tx]
     for g in group_ids:
         jam_g = plan.jam_set(int(g))
         data_decodable |= ~jam_g.contains(data_tx_slots)
 
-        in_group = groups[listen_nodes] == g
-        if not in_group.any():
-            continue
-        nodes_g = listen_nodes[in_group]
-        statuses = np.where(
-            jam_g.contains(listen_slots[in_group]),
-            np.int64(SlotStatus.NOISE),
-            base_status[in_group],
-        )
+        if len(group_ids) == 1:
+            nodes_g, slots_g, base_g = listen_nodes, listen_slots, base_status
+        else:
+            in_group = groups[listen_nodes] == g
+            if not in_group.any():
+                continue
+            nodes_g = listen_nodes[in_group]
+            slots_g = listen_slots[in_group]
+            base_g = base_status[in_group]
+        statuses = np.where(jam_g.contains(slots_g), STATUS_NOISE, base_g)
         flat = np.bincount(nodes_g * N_STATUS + statuses, minlength=n_nodes * N_STATUS)
         heard += flat.reshape(n_nodes, N_STATUS)
 
@@ -257,7 +327,7 @@ def resolve_phase(
     tx_jammed_0 = jam_0.contains(uniq_tx)
     n_clear = length - jam_0.size - int((~tx_jammed_0).sum())
     n_noise = jam_0.size + int(
-        ((tx_status == SlotStatus.NOISE) & ~tx_jammed_0).sum()
+        ((tx_status == STATUS_NOISE) & ~tx_jammed_0).sum()
     )
 
     return PhaseOutcome(
@@ -494,34 +564,19 @@ def resolve_phase_batch_core(
         )
         listen_keys = koff[l_own] + l_nodes * lengths[l_own] + l_slots
         key_space = int(koff[-1] + n_nodes * lengths[-1])
-        if key_space <= _DENSE_KEY_LIMIT:
-            busy = _dense_buf("halfdup", key_space, np.bool_)
-            busy[send_keys] = True
-            keep = ~busy[listen_keys]
-            busy[send_keys] = False
-        else:
-            send_keys.sort()
-            pos = np.searchsorted(send_keys, listen_keys)
-            np.minimum(pos, len(send_keys) - 1, out=pos)
-            keep = send_keys[pos] != listen_keys
+        keep = _absent_keys(
+            send_keys, listen_keys, key_space, _DENSE_KEY_LIMIT
+        )
         listen_vnodes = listen_vnodes[keep]
         listen_vslots = listen_vslots[keep]
         listen_groups = listen_groups[keep]
 
     # Un-jammed content status under each surviving listen event.
     if len(uniq_tx) and len(listen_vslots):
-        slot_space = int(off[-1] + lengths[-1])
-        if slot_space <= _DENSE_KEY_LIMIT:
-            content = _dense_buf("content", slot_space, np.int8)
-            content[uniq_tx] = tx_status
-            base_status = content[listen_vslots]
-            content[uniq_tx] = 0
-        else:
-            pos = np.searchsorted(uniq_tx, listen_vslots)
-            np.minimum(pos, len(uniq_tx) - 1, out=pos)
-            base_status = np.where(
-                uniq_tx[pos] == listen_vslots, tx_status[pos], np.int8(0)
-            )
+        base_status = _content_at(
+            uniq_tx, tx_status, listen_vslots,
+            int(off[-1] + lengths[-1]), _DENSE_KEY_LIMIT,
+        )
     else:
         base_status = np.zeros(len(listen_vslots), dtype=np.int8)
 
@@ -540,7 +595,7 @@ def resolve_phase_batch_core(
         for t in range(B):
             present[t, np.searchsorted(all_group_ids, trial_gids[t])] = True
 
-    is_data_tx = tx_status == SlotStatus.DATA
+    is_data_tx = tx_status == STATUS_DATA
     data_decodable = np.zeros(int(is_data_tx.sum()), dtype=bool)
     data_tx_slots = uniq_tx[is_data_tx]
     data_tx_trial = tx_trial[is_data_tx]
@@ -567,14 +622,14 @@ def resolve_phase_batch_core(
 
     statuses = np.where(
         global_stack.contains(listen_vslots),
-        np.int64(SlotStatus.NOISE),
+        np.int64(STATUS_NOISE),
         base_status,
     )
     for g in targeted_ids:
         sel = np.flatnonzero(listen_groups == g)
         if len(sel):
             jammed = _targeted_stack(g).contains(listen_vslots[sel])
-            statuses[sel[jammed]] = SlotStatus.NOISE
+            statuses[sel[jammed]] = STATUS_NOISE
     heard = np.bincount(
         listen_vnodes * N_STATUS + statuses,
         minlength=B * n_nodes * N_STATUS,
@@ -610,7 +665,7 @@ def resolve_phase_batch_core(
         tx_jammed_0 |= _targeted_stack(0).contains(uniq_tx)
     unjammed_tx_per_trial = np.bincount(tx_trial[~tx_jammed_0], minlength=B)
     noise_unjammed = np.bincount(
-        tx_trial[(tx_status == SlotStatus.NOISE) & ~tx_jammed_0], minlength=B
+        tx_trial[(tx_status == STATUS_NOISE) & ~tx_jammed_0], minlength=B
     )
     n_clear = lengths - jam0_sizes - unjammed_tx_per_trial
     n_noise = jam0_sizes + noise_unjammed

@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.channel.events import N_STATUS, SlotStatus, TxKind
+from repro.channel.events import (
+    N_STATUS,
+    STATUS_ACK,
+    STATUS_CLEAR,
+    STATUS_DATA,
+    STATUS_NACK,
+    STATUS_NOISE,
+    SlotStatus,
+    TxKind,
+)
 from repro.errors import ProtocolError
 
 __all__ = [
@@ -124,23 +133,23 @@ class PhaseObservation:
 
     @property
     def heard_clear(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.CLEAR)
+        return self.heard_kind(STATUS_CLEAR)
 
     @property
     def heard_noise(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.NOISE)
+        return self.heard_kind(STATUS_NOISE)
 
     @property
     def heard_data(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.DATA)
+        return self.heard_kind(STATUS_DATA)
 
     @property
     def heard_nack(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.NACK)
+        return self.heard_kind(STATUS_NACK)
 
     @property
     def heard_ack(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.ACK)
+        return self.heard_kind(STATUS_ACK)
 
     @property
     def cost(self) -> np.ndarray:
@@ -311,23 +320,23 @@ class BatchPhaseObservation:
 
     @property
     def heard_clear(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.CLEAR)
+        return self.heard_kind(STATUS_CLEAR)
 
     @property
     def heard_noise(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.NOISE)
+        return self.heard_kind(STATUS_NOISE)
 
     @property
     def heard_data(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.DATA)
+        return self.heard_kind(STATUS_DATA)
 
     @property
     def heard_nack(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.NACK)
+        return self.heard_kind(STATUS_NACK)
 
     @property
     def heard_ack(self) -> np.ndarray:
-        return self.heard_kind(SlotStatus.ACK)
+        return self.heard_kind(STATUS_ACK)
 
     def observation_for(self, t: int) -> PhaseObservation:
         """Per-trial :class:`PhaseObservation` for row ``t`` (must be active)."""

@@ -110,6 +110,44 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+#: Largest segment count whose index fits above a 53-bit mantissa in an
+#: int64 sort key (``1023 << 53`` is the last multiple below ``2**63``).
+_COMPOSITE_MAX_SEGMENTS = 1023
+
+
+def _trim_segments(
+    keys: np.ndarray, rand: np.ndarray, have: np.ndarray, want: np.ndarray
+) -> np.ndarray:
+    """Keep a uniformly random ``want[j]``-subset of each key segment.
+
+    ``keys`` is sorted and split into consecutive segments of
+    ``have[j]`` keys; ``rand`` holds one ``Generator.random`` tie-break
+    per key.  Each segment is ranked by its tie-breaks and its first
+    ``want[j]`` keys are kept, in that ranked order — exactly the
+    result of ranking with ``np.lexsort((rand, segment))``.
+
+    ``Generator.random`` emits multiples of ``2**-53``, so ``rand`` scales
+    exactly to 53-bit integers.  With the segment index in the high
+    bits, one stable ``argsort`` of the composite int64 key reproduces
+    the lexsort order bit-for-bit at a fraction of its cost.  Past
+    :data:`_COMPOSITE_MAX_SEGMENTS` segments the key would overflow, and
+    the lexsort runs instead.
+    """
+    m = len(have)
+    if m <= _COMPOSITE_MAX_SEGMENTS:
+        key = np.repeat(np.arange(m, dtype=np.int64) << 53, have)
+        key += (rand * 9007199254740992.0).astype(np.int64)
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.lexsort((rand, np.repeat(np.arange(m), have)))
+    # Keep a ranked position when it lies below its segment's start plus
+    # ``want``.
+    starts = np.zeros(m, dtype=np.int64)
+    np.cumsum(have[:-1], out=starts[1:])
+    thresh = np.repeat(starts + want, have)
+    return keys[order[np.arange(len(keys)) < thresh]]
+
+
 def _invert_complement(
     heavy_idx: np.ndarray,
     length: int,
@@ -149,7 +187,15 @@ def _distinct_positions_batch(
     uniform (L-k)-subset's complement is a uniform k-subset), which
     keeps the rejection loop away from the coupon-collector regime.
 
-    Returns ``(node_ids, slots)`` arrays (unordered within a node).
+    Rng contract (what every stored baseline depends on): per rejection
+    round one ``integers`` draw, sized by the overdraw of *every* light
+    node; then one ``random`` draw over all distinct keys iff some node
+    holds a surplus, trimmed by :func:`_trim_segments`; then the same
+    again for the heavy nodes' complements.
+
+    Returns ``(node_ids, slots)`` arrays: light nodes first, node-major
+    (slots ascending when nothing was trimmed, in tie-break rank order
+    otherwise), then heavy nodes, node-major with slots ascending.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = len(counts)
@@ -165,36 +211,34 @@ def _distinct_positions_batch(
     light_idx = np.flatnonzero(~heavy & (counts > 0))
     if len(light_idx):
         want = counts[light_idx]
+        # Node u owns keys [u * length, (u + 1) * length); every key
+        # lands in some light node's range, so per-node counts are
+        # differences of two boundary searches into the sorted keys.
+        lo_edges = light_idx * length
+        hi_edges = lo_edges + length
         keys = np.empty(0, dtype=np.int64)
-        need = want.copy()
+        need = want
         while True:
             total = int(need.sum())
             if total == 0:
                 break
             overdraw = need + need // 16 + 4
-            draw_nodes = np.repeat(light_idx, overdraw)
             draw_slots = rng.integers(0, length, int(overdraw.sum()))
-            keys = _sorted_distinct(
-                np.concatenate([keys, draw_nodes * length + draw_slots])
+            new_keys = np.repeat(lo_edges, overdraw) + draw_slots
+            keys = _sorted_distinct(np.concatenate([keys, new_keys]))
+            have = (
+                np.searchsorted(keys, hi_edges)
+                - np.searchsorted(keys, lo_edges)
             )
-            have = np.bincount(keys // length, minlength=n)[light_idx]
             need = np.maximum(0, want - have)
 
-        nodes_all = keys // length
-        have = np.bincount(nodes_all, minlength=n)[light_idx]
         if (have > want).any():
-            # keys is sorted, hence node-major: trim each node's segment
-            # to a random `want`-subset by ranking on random tie-breaks.
-            order = np.lexsort((rng.random(len(keys)), nodes_all))
-            starts = np.zeros(len(light_idx), dtype=np.int64)
-            np.cumsum(have[:-1], out=starts[1:])
-            seg_of = np.repeat(np.arange(len(light_idx)), have)
-            rank = np.arange(len(keys)) - starts[seg_of]
-            keep_sorted = rank < want[seg_of]
-            keys = keys[order[keep_sorted]]
-            nodes_all = keys // length
-        node_parts.append(nodes_all)
-        slot_parts.append(keys % length)
+            keys = _trim_segments(keys, rng.random(len(keys)), have, want)
+        # The loop exits with ``have >= want`` per node, and a trim keeps
+        # exactly ``want``; either way node j holds ``want[j]`` keys,
+        # node-major, so the decode is a repeat rather than a division.
+        node_parts.append(np.repeat(light_idx, want))
+        slot_parts.append(keys - np.repeat(lo_edges, want))
 
     # Heavy nodes: sample the complement, then invert with a mask.
     heavy_idx = np.flatnonzero(heavy)
@@ -362,8 +406,8 @@ def _lockstep_light_subsets(
 
     # Trim surpluses per trial, only in trials that would trim serially
     # (untrimmed trials keep sorted-key order; trimmed ones keep the
-    # serial lexsort order, both of which downstream content resolution
-    # depends on for bit-identity).
+    # serial tie-break rank order, both of which downstream content
+    # resolution depends on for bit-identity).
     trial_trim = np.zeros(nt, dtype=bool)
     over = have > want
     if over.any():
@@ -382,36 +426,15 @@ def _lockstep_light_subsets(
         keys_sub = np.concatenate(
             [keys[tb[i]:tb[i + 1]] for i in trim_ids]
         )
-        owner_sub = np.repeat(trim_ids, sizes[trim_ids])
-        rel_sub = keys_sub - K[owner_sub]
-        grp_sub = owner_sub * n + rel_sub // (
-            uniform_l if uniform_l else L[owner_sub]
-        )
         rand = np.concatenate(
             [rngs[lock[i]].random(int(sizes[i])) for i in trim_ids]
         )
-        if nt * n <= 1023:
-            # Composite sort key: (trial, node) group in the high bits,
-            # the serial random tie-break's full 53-bit mantissa in the
-            # low bits (``Generator.random`` emits multiples of 2**-53,
-            # so the scaling is exact).  One stable argsort reproduces
-            # ``lexsort((rand, group))`` bit-for-bit at about half the
-            # cost; wider group ranges would overflow and take the
-            # lexsort path instead.
-            r_bits = (rand * 9007199254740992.0).astype(np.int64)
-            order = np.argsort((grp_sub << 53) + r_bits, kind="stable")
-        else:
-            order = np.lexsort((rand, grp_sub))
+        # The trimmed trials' light nodes, in key order, are exactly the
+        # segments of ``keys_sub``: every node of a trimmed trial holds
+        # at least its ``want >= 1`` keys.
         node_mask = trial_trim[trial_of]
-        have_m = have[node_mask]
         want_m = want[node_mask]
-        bounds_m = np.zeros(len(have_m) + 1, dtype=np.int64)
-        np.cumsum(have_m, out=bounds_m[1:])
-        # Keep the first ``want`` rand-ranked keys of each node segment:
-        # positions below the segment's start-plus-want threshold.
-        thresh = np.repeat(bounds_m[:-1] + want_m, have_m)
-        keep_sorted = np.arange(len(keys_sub)) < thresh
-        kept = keys_sub[order[keep_sorted]]
+        kept = _trim_segments(keys_sub, rand, have[node_mask], want_m)
         # ``kept`` is node-major (hence trial-major) and the rejection
         # loop only exits once every node holds at least ``want`` keys,
         # so each trimmed node keeps exactly ``want`` — per-trial kept

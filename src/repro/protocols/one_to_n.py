@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.events import TxKind
+from repro.channel.events import STATUS_CLEAR, STATUS_DATA, TxKind
 from repro.constants import (
     FIG2_CLEAR_BASELINE_FRAC,
     FIG2_HELPER_DIV,
@@ -52,7 +52,6 @@ from repro.constants import (
     FIG2_TERM_GLOBAL,
     FIG2_TERM_HELPER,
 )
-from repro.channel.events import SlotStatus
 from repro.engine.phase import (
     BatchPhaseObservation,
     BatchPhaseSpec,
@@ -63,6 +62,16 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.protocols.base import NodeStatus, Protocol
 
 __all__ = ["OneToNParams", "OneToNBroadcast"]
+
+# Plain-int copies of the enum values read in per-phase code: on Python
+# 3.11 every ``NodeStatus.X`` / ``TxKind.X`` read is an
+# ``EnumType.__getattr__`` call.
+_UNINFORMED = int(NodeStatus.UNINFORMED)
+_INFORMED = int(NodeStatus.INFORMED)
+_HELPER = int(NodeStatus.HELPER)
+_TERMINATED = int(NodeStatus.TERMINATED)
+_TX_DATA = int(TxKind.DATA)
+_TX_NOISE = int(TxKind.NOISE)
 
 
 @dataclass(frozen=True)
@@ -232,8 +241,8 @@ class OneToNBroadcast(Protocol):
         self.epoch = self.params.first_epoch
         self.repetition = 0
         self.S = np.full(n, self.params.s_init, dtype=np.float64)
-        self.status = np.full(n, NodeStatus.UNINFORMED, dtype=np.int64)
-        self.status[self.sender] = NodeStatus.INFORMED
+        self.status = np.full(n, _UNINFORMED, dtype=np.int64)
+        self.status[self.sender] = _INFORMED
         self.ever_informed = np.zeros(n, dtype=bool)
         self.ever_informed[self.sender] = True
         self.n_est = np.full(n, np.nan)
@@ -250,11 +259,11 @@ class OneToNBroadcast(Protocol):
 
     @property
     def done(self) -> bool:
-        return bool((self.status == NodeStatus.TERMINATED).all())
+        return bool((self.status == _TERMINATED).all())
 
     @property
     def active(self) -> np.ndarray:
-        return self.status != NodeStatus.TERMINATED
+        return self.status != _TERMINATED
 
     def next_phase(self) -> PhaseSpec | None:
         if self._awaiting:
@@ -264,7 +273,7 @@ class OneToNBroadcast(Protocol):
         if self.epoch > self.params.max_epoch:
             self.aborted = True
             self.terminated_epoch[self.active] = self.epoch
-            self.status[:] = NodeStatus.TERMINATED
+            self.status[:] = _TERMINATED
             return None
 
         p = self.params
@@ -273,10 +282,10 @@ class OneToNBroadcast(Protocol):
         active = self.active
 
         send_probs = np.where(active, np.minimum(1.0, self.S / L), 0.0)
-        has_message = (self.status == NodeStatus.INFORMED) | (
-            self.status == NodeStatus.HELPER
+        has_message = (self.status == _INFORMED) | (
+            self.status == _HELPER
         )
-        send_kinds = np.where(has_message, TxKind.DATA, TxKind.NOISE).astype(np.int8)
+        send_kinds = np.where(has_message, _TX_DATA, _TX_NOISE).astype(np.int8)
         if not p.uninformed_noise:
             # Ablation A3: silent uninformed nodes.
             send_probs = np.where(has_message, send_probs, 0.0)
@@ -335,24 +344,24 @@ class OneToNBroadcast(Protocol):
         # Figure 2's cases — at most one per node, in order.
         case1 = active & (self.S > p.term_global_threshold(i))
         case2 = (
-            ~case1 & (self.status == NodeStatus.UNINFORMED) & (heard_m >= 1)
+            ~case1 & (self.status == _UNINFORMED) & (heard_m >= 1)
         )
         case3 = (
             ~case1
-            & (self.status == NodeStatus.INFORMED)
+            & (self.status == _INFORMED)
             & (heard_m > p.helper_threshold(i))
         )
         with np.errstate(invalid="ignore"):
             helper_done = self.S >= p.c_term_helper * np.sqrt(L / self.n_est)
         case4 = (
-            ~case1 & ~case3 & (self.status == NodeStatus.HELPER) & helper_done
+            ~case1 & ~case3 & (self.status == _HELPER) & helper_done
         )
 
         self._apply_cases(case1, case2, case3, case4, L)
 
         if (
-            (self.status == NodeStatus.HELPER).any()
-            and (self.status == NodeStatus.UNINFORMED).any()
+            (self.status == _HELPER).any()
+            and (self.status == _UNINFORMED).any()
         ):
             self.helper_uninformed_overlaps += 1
 
@@ -376,16 +385,16 @@ class OneToNBroadcast(Protocol):
         Split out so that the naive-halting strawman can override the
         helper machinery while reusing everything else.
         """
-        self.status[case1] = NodeStatus.TERMINATED
+        self.status[case1] = _TERMINATED
         self.terminated_epoch[case1] = self.epoch
 
-        self.status[case2] = NodeStatus.INFORMED
+        self.status[case2] = _INFORMED
         self.ever_informed |= case2
 
-        self.status[case3] = NodeStatus.HELPER
+        self.status[case3] = _HELPER
         self.n_est[case3] = L / self.S[case3] ** 2
 
-        self.status[case4] = NodeStatus.TERMINATED
+        self.status[case4] = _TERMINATED
         self.terminated_epoch[case4] = self.epoch
 
     def summary(self) -> dict:
@@ -428,8 +437,8 @@ class OneToNBroadcast(Protocol):
         self.epoch_b = np.full(b, p.first_epoch, dtype=np.int64)
         self.repetition_b = np.zeros(b, dtype=np.int64)
         self.S_b = np.full((b, n), p.s_init, dtype=np.float64)
-        self.status_b = np.full((b, n), NodeStatus.UNINFORMED, dtype=np.int64)
-        self.status_b[:, self.sender] = NodeStatus.INFORMED
+        self.status_b = np.full((b, n), _UNINFORMED, dtype=np.int64)
+        self.status_b[:, self.sender] = _INFORMED
         self.ever_informed_b = np.zeros((b, n), dtype=bool)
         self.ever_informed_b[:, self.sender] = True
         self.n_est_b = np.full((b, n), np.nan)
@@ -444,7 +453,7 @@ class OneToNBroadcast(Protocol):
         return np.minimum(self.epoch_b, self.params.max_epoch) - self.params.first_epoch
 
     def done_batch(self) -> np.ndarray:
-        return (self.status_b == NodeStatus.TERMINATED).all(axis=1)
+        return (self.status_b == _TERMINATED).all(axis=1)
 
     def next_phase_batch(self, mask: np.ndarray) -> BatchPhaseSpec | None:
         if (self._awaiting_b & mask).any():
@@ -453,11 +462,11 @@ class OneToNBroadcast(Protocol):
         over = run & (self.epoch_b > self.params.max_epoch)
         if over.any():
             self.aborted_b |= over
-            sel = over[:, None] & (self.status_b != NodeStatus.TERMINATED)
+            sel = over[:, None] & (self.status_b != _TERMINATED)
             self.terminated_epoch_b[sel] = np.broadcast_to(
                 self.epoch_b[:, None], sel.shape
             )[sel]
-            self.status_b[over] = NodeStatus.TERMINATED
+            self.status_b[over] = _TERMINATED
             run &= ~over
         if not run.any():
             return None
@@ -467,13 +476,13 @@ class OneToNBroadcast(Protocol):
         ei = self._epoch_index()
         lengths = np.where(run, self._tab_len[ei], 1)
         Lf = self._tab_lenf[ei][:, None]
-        active = self.status_b != NodeStatus.TERMINATED
+        active = self.status_b != _TERMINATED
 
         send_probs = np.where(active, np.minimum(1.0, self.S_b / Lf), 0.0)
-        has_message = (self.status_b == NodeStatus.INFORMED) | (
-            self.status_b == NodeStatus.HELPER
+        has_message = (self.status_b == _INFORMED) | (
+            self.status_b == _HELPER
         )
-        send_kinds = np.where(has_message, TxKind.DATA, TxKind.NOISE).astype(np.int8)
+        send_kinds = np.where(has_message, _TX_DATA, _TX_NOISE).astype(np.int8)
         if not p.uninformed_noise:
             send_probs = np.where(has_message, send_probs, 0.0)
         budget = (self.S_b * p.d) * self._tab_epow[ei][:, None]
@@ -519,11 +528,11 @@ class OneToNBroadcast(Protocol):
         p = self.params
         ei = self._epoch_index()
         Lf = self._tab_lenf[ei][:, None]
-        active = self.status_b != NodeStatus.TERMINATED
+        active = self.status_b != _TERMINATED
         acted = act[:, None] & active
 
         expected_listens = self._emitted_listen_probs_b * Lf
-        clear = obs.heard[:, :, SlotStatus.CLEAR].astype(np.float64)
+        clear = obs.heard[:, :, STATUS_CLEAR].astype(np.float64)
         surplus = np.maximum(0.0, clear - p.clear_baseline_frac * expected_listens)
         if p.aggressive_growth:
             denom = expected_listens
@@ -543,27 +552,27 @@ class OneToNBroadcast(Protocol):
                 multi, np.maximum(self.max_s_ratio_b, ratio), self.max_s_ratio_b
             )
 
-        heard_m = obs.heard[:, :, SlotStatus.DATA]
+        heard_m = obs.heard[:, :, STATUS_DATA]
         case1 = acted & (self.S_b > self._tab_term[ei][:, None])
-        case2 = ~case1 & acted & (self.status_b == NodeStatus.UNINFORMED) & (heard_m >= 1)
+        case2 = ~case1 & acted & (self.status_b == _UNINFORMED) & (heard_m >= 1)
         case3 = (
             ~case1
             & acted
-            & (self.status_b == NodeStatus.INFORMED)
+            & (self.status_b == _INFORMED)
             & (heard_m > self._tab_helper[ei][:, None])
         )
         with np.errstate(invalid="ignore"):
             helper_done = self.S_b >= p.c_term_helper * np.sqrt(Lf / self.n_est_b)
         case4 = (
-            ~case1 & ~case3 & acted & (self.status_b == NodeStatus.HELPER) & helper_done
+            ~case1 & ~case3 & acted & (self.status_b == _HELPER) & helper_done
         )
 
         self._apply_cases_batch(case1, case2, case3, case4, Lf, acted)
 
         overlap = (
             act
-            & (self.status_b == NodeStatus.HELPER).any(axis=1)
-            & (self.status_b == NodeStatus.UNINFORMED).any(axis=1)
+            & (self.status_b == _HELPER).any(axis=1)
+            & (self.status_b == _UNINFORMED).any(axis=1)
         )
         self.overlaps_b += overlap
 
@@ -572,7 +581,7 @@ class OneToNBroadcast(Protocol):
         if roll.any():
             self.repetition_b[roll] = 0
             self.epoch_b[roll] += 1
-            sel = roll[:, None] & (self.status_b != NodeStatus.TERMINATED)
+            sel = roll[:, None] & (self.status_b != _TERMINATED)
             self.S_b[sel] = p.s_init
 
     def _apply_cases_batch(
@@ -587,17 +596,17 @@ class OneToNBroadcast(Protocol):
         """Batched :meth:`_apply_cases`; masks are ``(B, n)``, gated on
         ``acted`` (rows outside this step's phase stay frozen)."""
         epoch_grid = np.broadcast_to(self.epoch_b[:, None], self.status_b.shape)
-        self.status_b[case1] = NodeStatus.TERMINATED
+        self.status_b[case1] = _TERMINATED
         self.terminated_epoch_b[case1] = epoch_grid[case1]
 
-        self.status_b[case2] = NodeStatus.INFORMED
+        self.status_b[case2] = _INFORMED
         self.ever_informed_b |= case2
 
-        self.status_b[case3] = NodeStatus.HELPER
+        self.status_b[case3] = _HELPER
         if case3.any():
             self.n_est_b[case3] = (Lf / self.S_b**2)[case3]
 
-        self.status_b[case4] = NodeStatus.TERMINATED
+        self.status_b[case4] = _TERMINATED
         self.terminated_epoch_b[case4] = epoch_grid[case4]
 
     def summary_batch(self) -> list[dict]:

@@ -11,6 +11,10 @@ multi-group node assignments.
 
 from __future__ import annotations
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +28,11 @@ from repro.channel.events import (
     SlotStatus,
     TxKind,
 )
+from repro.channel import model
 from repro.channel.model import (
     get_resolver,
     resolve_phase,
+    resolve_phase_batch,
     slot_content,
     slot_content_at,
 )
@@ -116,6 +122,30 @@ def test_sparse_equals_dense_without_groups(setup):
     sparse = resolve_phase(length, n_nodes, sends, listens, plan)
     dense = resolve_phase_dense(length, n_nodes, sends, listens, plan)
     assert_outcomes_identical(sparse, dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_phase_setup(), st.booleans())
+def test_scatter_and_binary_search_branches_agree(setup, with_groups):
+    """Both membership branches of the sparse resolvers (dense
+    scatter/gather below the key-space cap, binary search above it)
+    equal the O(L) oracle, serial and batched."""
+    length, n_nodes, sends, listens, plan, groups = setup
+    groups = groups if with_groups else None
+    oracle = resolve_phase_dense(length, n_nodes, sends, listens, plan, groups)
+    args = ([length], n_nodes, [sends], [listens], [plan], [groups])
+    assert_outcomes_identical(
+        resolve_phase(length, n_nodes, sends, listens, plan, groups), oracle
+    )
+    assert_outcomes_identical(resolve_phase_batch(*args)[0], oracle)
+    with mock.patch.object(model, "_SERIAL_DENSE_KEY_LIMIT", 0), \
+            mock.patch.object(model, "_DENSE_KEY_LIMIT", 0), \
+            mock.patch.object(model, "_dense_buf", side_effect=AssertionError):
+        assert_outcomes_identical(
+            resolve_phase(length, n_nodes, sends, listens, plan, groups),
+            oracle,
+        )
+        assert_outcomes_identical(resolve_phase_batch(*args)[0], oracle)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,3 +303,118 @@ def test_simulator_resolver_bit_identical():
     with pytest.warns(DeprecationWarning):
         legacy = run(mk(), adv(), seed=123, dense=True)
     np.testing.assert_array_equal(legacy.node_costs, dense.node_costs)
+
+
+def _scratch_phases():
+    """Two phases on one key space: the first sends DATA from node 0 in
+    slots 0-31, the second sends only in slot 63 and has node 0 listen
+    everywhere else.  Scratch entries left over from the first would
+    drop node 0's listens or misread slots 0-31 as DATA in the second."""
+    length, n_nodes = 64, 4
+    every = np.arange(length, dtype=np.int64)
+    first = (
+        SendEvents(
+            np.zeros(32, np.int64), every[:32],
+            np.full(32, int(TxKind.DATA), np.int8),
+        ),
+        ListenEvents(np.repeat([1, 2, 3], length), np.tile(every, 3)),
+    )
+    second = (
+        SendEvents(
+            np.array([0]), np.array([63]), np.array([int(TxKind.DATA)], np.int8)
+        ),
+        ListenEvents(np.repeat([0, 1, 2, 3], length), np.tile(every, 4)),
+    )
+    return length, n_nodes, first, second
+
+
+class TestScratchBuffers:
+    """The dense scatter/gather scratch is reset even when a pass fails
+    midway, and threads never share it."""
+
+    @pytest.mark.parametrize("buffer", ["halfdup", "content"])
+    def test_exception_mid_pass_leaves_scratch_clean(self, monkeypatch, buffer):
+        length, n_nodes, first, second = _scratch_phases()
+        plan = JamPlan.silent(length)
+        real = model._dense_buf
+
+        class Interrupted(np.ndarray):
+            """A view whose gathers raise, as a timeout signal would."""
+
+            def __getitem__(self, index):
+                raise RuntimeError("interrupted mid-pass")
+
+        def failing(name, size, dtype):
+            buf = real(name, size, dtype)
+            return buf.view(Interrupted) if name == buffer else buf
+
+        monkeypatch.setattr(model, "_dense_buf", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            resolve_phase(length, n_nodes, *first, plan)
+        monkeypatch.setattr(model, "_dense_buf", real)
+
+        assert not any(buf.any() for buf in model._scratch.bufs.values())
+        assert_outcomes_identical(
+            resolve_phase(length, n_nodes, *second, plan),
+            resolve_phase_dense(length, n_nodes, *second, plan),
+        )
+
+    def test_concurrent_threads_match_oracle(self):
+        rng = np.random.default_rng(2026)
+        # Large enough that NumPy releases the interpreter lock inside
+        # the scatter and gather, so passes really overlap.
+        length, n_nodes, n_ev = 4096, 16, 20000
+        phases = []
+        for _ in range(12):
+            sends = SendEvents(
+                rng.integers(0, n_nodes, n_ev),
+                rng.integers(0, length, n_ev),
+                rng.choice(KINDS, n_ev).astype(np.int8),
+            )
+            listens = ListenEvents(
+                rng.integers(0, n_nodes, n_ev), rng.integers(0, length, n_ev)
+            )
+            phases.append((sends, listens))
+        plan = JamPlan.silent(length)
+        expected = [
+            resolve_phase_dense(length, n_nodes, s, l, plan) for s, l in phases
+        ]
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        mismatches: list[tuple[int, int]] = []
+        finished: list[int] = []
+
+        def worker(k: int) -> None:
+            barrier.wait(timeout=30)
+            for rep in range(5):
+                # Each thread walks the phases in its own order, so
+                # concurrent passes touch different keys.
+                for i in np.random.default_rng(k * 100 + rep).permutation(
+                    len(phases)
+                ):
+                    got = resolve_phase(length, n_nodes, *phases[i], plan)
+                    if not (
+                        np.array_equal(got.heard, expected[i].heard)
+                        and np.array_equal(
+                            got.listen_cost, expected[i].listen_cost
+                        )
+                    ):
+                        mismatches.append((k, int(i)))
+            finished.append(k)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,))
+                for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == list(range(n_threads))
+        assert not mismatches
