@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import OneToOneBroadcast, OneToOneParams
+from repro import OneToOneBroadcast, OneToOneParams, Simulator
 from repro.multichannel import (
     ChannelBandJammer,
     MCEpochTargetJammer,
-    MCSimulator,
     hopping_rate_params,
 )
 
@@ -36,8 +35,8 @@ def main() -> None:
     print("1) Unchanged Figure 1 on C channels (no jamming, 50 trials):")
     for C in (1, 4, 8):
         wins = sum(
-            MCSimulator(
-                OneToOneBroadcast(base), MCEpochTargetJammer(0), C
+            Simulator(
+                OneToOneBroadcast(base), MCEpochTargetJammer(0), n_channels=C
             ).run(s).success
             for s in range(50)
         )
@@ -52,8 +51,10 @@ def main() -> None:
         target = max(params.first_epoch, budget_exp - 2 - int(np.log2(C)))
         Ts, costs = [], []
         for s in range(4):
-            res = MCSimulator(
-                OneToOneBroadcast(params), MCEpochTargetJammer(target, q=1.0), C
+            res = Simulator(
+                OneToOneBroadcast(params),
+                MCEpochTargetJammer(target, q=1.0),
+                n_channels=C,
             ).run(s)
             assert res.success
             Ts.append(res.adversary_cost)
@@ -68,10 +69,10 @@ def main() -> None:
     C = 16
     params = hopping_rate_params(base, C)
     for k in (1, 8):
-        res = MCSimulator(
+        res = Simulator(
             OneToOneBroadcast(params),
             ChannelBandJammer(n_channels_jammed=k, q=1.0, max_total=150_000),
-            C,
+            n_channels=C,
         ).run(7)
         print(f"   k={k:2d} of {C} channels: jammer spent {res.adversary_cost:6d}, "
               f"defender paid {res.max_node_cost:5d}, delivered={res.success}")

@@ -77,14 +77,10 @@ def _batch_workloads():
 
 def _mc_batch_workloads():
     """Multichannel workloads; entries carry their own simulator factory
-    because ``MCSimulator`` needs ``n_channels`` at construction."""
+    because the engine needs ``n_channels`` at construction."""
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.multichannel import (
-        CZBroadcast,
-        CZParams,
-        FractionJammer,
-        MCSimulator,
-    )
+    from repro.engine.simulator import Simulator
+    from repro.multichannel import CZBroadcast, CZParams, FractionJammer
 
     n_channels = 8
     params = CZParams.sim(n_nodes=16, n_channels=n_channels)
@@ -96,7 +92,9 @@ def _mc_batch_workloads():
         return FractionJammer(0.05, max_total=2000)
 
     def mk_sim():
-        return MCSimulator(mk_p(), mk_a(), n_channels, max_slots=2_000_000)
+        return Simulator(
+            mk_p(), mk_a(), n_channels=n_channels, max_slots=2_000_000
+        )
 
     # E18-shaped: Chen-Zheng broadcast vs an eps-fraction jammer at C=8.
     return {"e18_style_cz_fraction": (mk_p, mk_a, mk_sim, 32, 32)}
@@ -109,7 +107,7 @@ def bench_batch(repeats: int = 3) -> int:
     ``observe_batch``) the per-trial Python floor is gone: protocol
     state advances as stacked arrays, so replicate-shaped 1-to-1 sweeps
     gain ~5x and event-heavy 1-to-n workloads ~2.5-3x; the multichannel
-    E18-style workload (``MCSimulator.run_batch``) gains ~3x.  Each
+    E18-style workload (``run_batch`` at ``n_channels=8``) gains ~3x.  Each
     timing is
     the best of ``repeats`` runs to damp scheduler noise, and every
     batched result is asserted equal to its serial twin (the bench

@@ -17,10 +17,12 @@
 #    (REPRO_RESOLVER=dense) and requires the two saved reports to be
 #    byte-identical — the end-to-end differential gate for the
 #    O(events) kernel.  Same gate on E6, the jammed 1-to-n path.
-# 6a. Stored-baseline gate: runs E1, E6, E8 and E18 at the defaults
-#    (seed 0, quick) and requires each saved report to be
+# 6a. Stored-baseline gate: runs E1, E6, E8, E15 and E18 at the
+#    defaults (seed 0, quick) and requires each saved report to be
 #    byte-identical to its file in results/baseline/ — a kernel speed-up
-#    must not move any random stream.
+#    must not move any random stream.  E15 drives the serial run loop
+#    directly at C in {1, 2, 4, 8} (jam groups at C=1, the channel
+#    stage above it).
 # 6b. Runs E1 serially and with --batch 8 and requires the two saved
 #    reports to be byte-identical — the end-to-end gate for the
 #    trial-batched kernel.
@@ -36,8 +38,8 @@
 #    the default `duel` chart to be byte-identical across repeats.
 # 8b. Multichannel gate: runs E18 serially, with -j 2, and with
 #    --batch 8 (all three reports byte-identical — the batched one is
-#    the end-to-end gate for the lockstep MCSimulator.run_batch
-#    kernel), then a fixed-seed arena search against the cz-c4
+#    the end-to-end gate for the lockstep run_batch loop at C > 1),
+#    then a fixed-seed arena search against the cz-c4
 #    multichannel preset serially and with -j 2 (byte-identical
 #    leaderboards), and replays the discovered attack from the corpus
 #    demanding exact agreement.
@@ -107,15 +109,15 @@ if ! cmp "$tmp/sparse/E1.json" "$tmp/dense/E1.json"; then
 fi
 echo "OK: E1 report byte-identical sparse vs dense oracle"
 
-echo "== stored baselines: run E1 E6 E8 E18 --seed 0 vs results/baseline/ =="
-for eid in E1 E6 E8 E18; do
+echo "== stored baselines: run E1 E6 E8 E15 E18 --seed 0 vs results/baseline/ =="
+for eid in E1 E6 E8 E15 E18; do
     python -m repro.cli run "$eid" --seed 0 --save "$tmp/baseline" > /dev/null
     if ! cmp "$tmp/baseline/$eid.json" "results/baseline/$eid.json"; then
         echo "FAIL: $eid report differs from results/baseline/$eid.json" >&2
         exit 1
     fi
 done
-echo "OK: E1 E6 E8 E18 byte-identical to the stored baselines"
+echo "OK: E1 E6 E8 E15 E18 byte-identical to the stored baselines"
 
 echo "== CLI byte-identity: sparse resolver vs dense oracle (run E6) =="
 REPRO_RESOLVER=dense python -m repro.cli run E6 --seed 0 \

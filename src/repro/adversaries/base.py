@@ -48,6 +48,11 @@ class AdversaryContext:
         ``a_i * b_i`` of exactly these.
     spent:
         The adversary's own cumulative cost before this phase.
+    n_channels:
+        Number of frequency channels ``C``.  At ``C > 1`` the events
+        sit on the ``C * length`` virtual slots (channel ``c``, real
+        slot ``t`` → virtual slot ``c * length + t``) and the plan must
+        cover all of them; ``length`` stays the real phase length.
     """
 
     phase_index: int
@@ -61,6 +66,7 @@ class AdversaryContext:
     listen_probs: np.ndarray
     spent: int = 0
     extra: dict = field(default_factory=dict)
+    n_channels: int = 1
 
 
 class Adversary(ABC):

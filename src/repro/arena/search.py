@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.arena.space import Genome, StrategySpace
 from repro.errors import ConfigurationError
-from repro.experiments.runner import Table, mc_replicate, replicate, stable_hash
+from repro.experiments.runner import Table, replicate, stable_hash
 from repro.protocols.base import Protocol
 from repro.rng import derive
 from repro.telemetry.sink import get_sink
@@ -44,27 +44,6 @@ __all__ = [
 
 #: Simulator safety cap shared by every arena evaluation (matches E14).
 MAX_SLOTS = 20_000_000
-
-
-def _replicate_any(
-    make_protocol, make_adversary, n_reps, seed, config, n_channels
-):
-    """Route replications to the engine the defender lives on.
-
-    ``n_channels=None`` is the single-channel :func:`replicate` path;
-    any integer (including 1) runs on the multichannel engine via
-    :func:`mc_replicate` — the adversaries are then ``MCAdversary``
-    instances, which the single-channel simulator cannot drive.
-    """
-    if n_channels is None:
-        return replicate(
-            make_protocol, make_adversary, n_reps,
-            seed=seed, config=config, max_slots=MAX_SLOTS,
-        )
-    return mc_replicate(
-        make_protocol, make_adversary, n_reps,
-        seed=seed, n_channels=n_channels, config=config, max_slots=MAX_SLOTS,
-    )
 
 
 @dataclass(frozen=True)
@@ -149,8 +128,9 @@ def baseline_cost(
         def make_silent():
             return ChannelBandJammer(0)
 
-    runs = _replicate_any(
-        make_protocol, make_silent, n_reps, seed, config, n_channels
+    runs = replicate(
+        make_protocol, make_silent, n_reps, seed,
+        config=config, n_channels=n_channels, max_slots=MAX_SLOTS,
     )
     return float(np.mean([r.max_node_cost for r in runs]))
 
@@ -187,13 +167,14 @@ def evaluate_genomes(
         if cached is not None:
             out.append(cached)
             continue
-        results = _replicate_any(
+        results = replicate(
             make_protocol,
             lambda g=genome: space.build(g),
             n_reps,
             seed + stable_hash("arena", fp),
-            config,
-            n_channels,
+            config=config,
+            n_channels=n_channels,
+            max_slots=MAX_SLOTS,
         )
         mean_T = float(np.mean([r.adversary_cost for r in results]))
         mean_cost = float(np.mean([r.max_node_cost for r in results]))

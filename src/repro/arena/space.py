@@ -107,12 +107,12 @@ _PROTOCOLS: dict[str, Callable[[], Protocol]] = {
     "cz-c8": _cz(8),
 }
 
-#: Presets that run on the multichannel engine, mapped to their band
-#: width ``C``.  Absence means the single-channel
-#: :class:`~repro.engine.simulator.Simulator` — note ``cz-c1`` *is*
-#: listed: a C=1 preset still needs the MC engine (its opponents are
-#: :class:`~repro.multichannel.adversaries.MCAdversary` instances), so
-#: the dispatch key is "which engine", not "how many channels".
+#: Presets that face the multichannel adversary zoo, mapped to their
+#: band width ``C``.  Absence means a single-channel preset — note
+#: ``cz-c1`` *is* listed: its opponents are
+#: :class:`~repro.multichannel.adversaries.MCAdversary` instances and
+#: its cache entries are keyed as multichannel runs, so the dispatch
+#: key is "which zoo", not "how many channels".
 _PROTOCOL_CHANNELS: dict[str, int] = {
     "cz-c1": 1,
     "cz-c2": 2,
@@ -140,9 +140,9 @@ def protocol_factory(name: str) -> Callable[[], Protocol]:
 def protocol_channels(name: str) -> int | None:
     """Band width of a multichannel preset, ``None`` for single-channel.
 
-    The arena keys engine dispatch off this: a non-``None`` value routes
-    evaluation through :func:`repro.experiments.runner.mc_replicate`
-    and restricts the genome space to the multichannel families.
+    The arena keys dispatch off this: a non-``None`` value runs
+    evaluation through :func:`repro.experiments.runner.replicate` with
+    ``n_channels`` set and restricts the genome space to the multichannel families.
     """
     if name not in _PROTOCOLS:
         protocol_factory(name)  # raise the canonical error
@@ -364,9 +364,9 @@ _FAMILIES: dict[str, tuple[dict, Callable]] = {
 }
 
 
-# Multichannel families: genomes whose adversaries fight on the
-# MCSimulator (per-(channel,slot)-cell energy).  Kept in a separate
-# registry because the two engines' adversary interfaces are disjoint —
+# Multichannel families: genomes whose adversaries buy
+# per-(channel,slot) cells over the virtual slots.  Kept in a separate
+# registry because the two zoos' plans are not interchangeable —
 # a space mixes one kind or the other, never both — while Genome,
 # mutation, crossover, fingerprints, and the corpus treat both
 # identically.
@@ -578,8 +578,8 @@ def multichannel_space(quick: bool = True) -> StrategySpace:
     """The genome space for multichannel presets (``cz-c*``).
 
     Same budget ranges as :func:`default_space`, restricted to the
-    ``mc_*`` families — the two engines' adversary interfaces are
-    disjoint, so a search against a multichannel defender must draw
+    ``mc_*`` families — the two zoos' plans are not interchangeable,
+    so a search against a multichannel defender must draw
     only :class:`~repro.multichannel.adversaries.MCAdversary` genomes.
     """
     return StrategySpace(

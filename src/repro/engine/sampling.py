@@ -616,13 +616,12 @@ def sample_action_events_batch(
     validated (the engine's batch specs); it never changes the sampled
     events.
 
-    The multichannel engine reuses this sampler unchanged: events are
-    drawn on *real* slots from each trial's ``protocol`` stream, and
-    only afterwards does
-    :func:`repro.multichannel.engine._hop_batch` filter half-duplex
-    conflicts and hop the survivors onto virtual slots from the
-    separate per-trial ``hopping`` streams — so the draws made here are
-    identical whether the phase later resolves on one channel or many.
+    The engine's channel stage reuses this sampler unchanged: events
+    are drawn on *real* slots from each trial's ``protocol`` stream,
+    and only afterwards does the stage filter half-duplex conflicts and
+    hop the survivors onto virtual slots from the separate per-trial
+    ``hopping`` streams — so the draws made here are identical whether
+    the phase later resolves on one channel or many.
 
     Returns one ``(SendEvents, ListenEvents)`` pair per trial.
     """

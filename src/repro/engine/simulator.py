@@ -4,12 +4,31 @@ One :func:`run` call plays a complete execution of a protocol against an
 adversary on the slotted channel, with full energy accounting.  The loop
 is phase-granular; all slot-level work happens vectorised inside
 :func:`repro.channel.model.resolve_phase`.
+
+The engine has a channel axis, ``n_channels = C`` (the Chen–Zheng
+multichannel model).  A phase of ``L`` slots over ``C`` channels is
+resolved as a single-channel phase of ``C * L`` virtual slots, where
+real slot ``t`` on channel ``c`` is virtual slot ``c * L + t``:
+
+* a transmission/listen in real slot ``t`` is placed on one uniformly
+  random channel, i.e. mapped to virtual slot ``rng.integers(C) * L + t``;
+* collisions happen exactly within (channel, slot) cells;
+* the adversary's plan is a set of (channel, slot) cells (1 energy
+  each), i.e. an ordinary :class:`~repro.channel.events.JamPlan` over
+  the virtual slots.
+
+Because a node takes at most one action per *real* slot and each action
+occupies exactly one virtual slot, per-slot energy accounting, the
+half-duplex rule, and the own-transmission exclusion all carry over
+from the single-channel resolver untouched — the reduction is exact,
+not an approximation.  At ``C = 1`` this channel stage is the identity:
+it draws nothing and keeps the protocol's jam groups, so the paper's
+single-channel model is exactly the ``C = 1`` case.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -17,11 +36,10 @@ import numpy as np
 
 from repro.adversaries.base import Adversary, AdversaryContext
 from repro.channel.accounting import BatchEnergyLedger, EnergyLedger
-from repro.channel.events import N_STATUS
+from repro.channel.events import N_STATUS, ListenEvents, SendEvents
 from repro.channel.model import (
     BatchPhaseOutcome,
     resolve_phase,
-    resolve_phase_batch,
     resolve_phase_batch_core,
     resolve_phase_dense,
     resolve_resolver_name,
@@ -33,46 +51,58 @@ from repro.protocols.base import Protocol
 from repro.rng import RngFactory
 from repro.telemetry.sink import get_sink
 
-__all__ = [
-    "Simulator",
-    "RunResult",
-    "BatchResult",
-    "run",
-    "run_batch",
-    "resolve_protocol_driver_name",
-    "PROTOCOL_DRIVER_ENV",
-]
-
-#: Environment override for how ``run_batch`` steps protocols: set to
-#: ``batch`` (stacked lockstep API, the default) or ``serial`` (one
-#: ``next_phase``/``observe`` call per trial — the differential oracle).
-#: The CI byte-identity gate replays experiments under ``serial`` the
-#: same way ``REPRO_RESOLVER=dense`` replays them through the O(L)
-#: resolver.
-PROTOCOL_DRIVER_ENV = "REPRO_PROTOCOL_DRIVER"
+__all__ = ["Simulator", "RunResult", "BatchResult", "run", "run_batch"]
 
 
-def resolve_protocol_driver_name(driver: str | None = None) -> str:
-    """Normalise the protocol-driver spelling to ``"batch"`` or ``"serial"``.
+def _hop(slots: np.ndarray, length: int, n_channels: int,
+         rng: np.random.Generator) -> np.ndarray:
+    """Map real-slot events to virtual slots via uniform channel hops."""
+    if len(slots) == 0:
+        return slots
+    channels = rng.integers(0, n_channels, len(slots))
+    return channels * length + slots
 
-    Precedence: an explicit ``driver=`` string, then the
-    :data:`PROTOCOL_DRIVER_ENV` environment variable, then ``"batch"``.
+
+def _half_duplex(sends: SendEvents, listens: ListenEvents,
+                 length: int) -> ListenEvents:
+    """Drop listens that collide with the same node's sends in the same
+    *real* slot.
+
+    Half-duplex must be enforced before the hop: a node cannot send on
+    one channel while listening on another.  (The virtual-slot resolver
+    would only catch same-channel conflicts.)
     """
-    if driver is not None:
-        if driver not in ("batch", "serial"):
-            raise ConfigurationError(
-                f"protocol_driver must be 'batch' or 'serial', got {driver!r}"
-            )
-        return driver
-    env = os.environ.get(PROTOCOL_DRIVER_ENV, "").strip().lower()
-    if env:
-        if env not in ("batch", "serial"):
-            raise ConfigurationError(
-                f"{PROTOCOL_DRIVER_ENV} must be 'batch' or 'serial', "
-                f"got {env!r}"
-            )
-        return env
-    return "batch"
+    if not len(sends) or not len(listens):
+        return listens
+    send_keys = np.sort(sends.nodes * length + sends.slots)
+    listen_keys = listens.nodes * length + listens.slots
+    pos = np.searchsorted(send_keys, listen_keys)
+    safe = np.minimum(pos, len(send_keys) - 1)
+    keep = send_keys[safe] != listen_keys
+    return ListenEvents(listens.nodes[keep], listens.slots[keep])
+
+
+def _hop_events(sends: SendEvents, listens: ListenEvents, length: int,
+                n_channels: int, rng: np.random.Generator):
+    """The channel stage at ``C > 1``: one trial's real-slot events
+    onto the ``C * length`` virtual slots.
+
+    ``rng`` is the trial's private ``hopping`` stream, and its draw
+    order is the bit-identity contract shared by :meth:`Simulator.run`
+    and the lockstep :meth:`Simulator.run_batch`: the half-duplex
+    filter runs on real slots first (it changes how many listen events
+    remain, hence how many channel draws the hop makes), then sends
+    hop, then listens.  Merging the two hops into one draw, or hopping
+    listens before the filter, would silently permute every stream.
+    """
+    listens = _half_duplex(sends, listens, length)
+    v_sends = SendEvents(
+        sends.nodes, _hop(sends.slots, length, n_channels, rng), sends.kinds
+    )
+    v_listens = ListenEvents(
+        listens.nodes, _hop(listens.slots, length, n_channels, rng)
+    )
+    return v_sends, v_listens
 
 
 @dataclass(frozen=True)
@@ -192,10 +222,20 @@ class Simulator:
     ----------
     protocol / adversary:
         The parties.  Both are reset at the start of every :meth:`run`.
+        Any phase-driven protocol runs on any channel count unmodified;
+        at ``n_channels > 1`` the adversary plans over the
+        ``C * length`` virtual slots (the strategies in
+        :mod:`repro.multichannel.adversaries`).
+    n_channels:
+        Number of frequency channels ``C >= 1``.  A protocol whose
+        parameters declare ``n_channels`` must be run on that many.
     max_slots / max_phases:
         Safety caps.  By default a run that exceeds them is truncated
         and flagged; with ``strict=True`` it raises
-        :class:`~repro.errors.BudgetExceededError` instead.
+        :class:`~repro.errors.BudgetExceededError` instead.  ``max_slots``
+        caps *real* slots — the sum of phase lengths, i.e. latency,
+        which does not grow with band width — even though the ledger's
+        per-phase records charge the ``C * length`` virtual extent.
     keep_history:
         Keep per-phase cost records on the result (off for big sweeps).
     trace:
@@ -207,23 +247,12 @@ class Simulator:
         ``None`` defers to the ``REPRO_RESOLVER`` environment variable.
         Both produce bit-identical outcomes; the oracle exists for
         differential testing and byte-identity CI gates.
-    dense:
-        Deprecated boolean spelling of ``resolver=`` (one-release
-        :class:`DeprecationWarning`).
-    protocol_driver:
-        How :meth:`run_batch` steps protocols: ``"batch"`` (default)
-        drives the stacked lockstep API
-        (:meth:`~repro.protocols.base.Protocol.next_phase_batch` /
-        :meth:`~repro.protocols.base.Protocol.observe_batch`),
-        ``"serial"`` loops the per-trial API — the batch layer's
-        differential oracle.  ``None`` defers to the
-        ``REPRO_PROTOCOL_DRIVER`` environment variable.  Both produce
-        per-trial results bit-identical to :meth:`run`.
     profile:
         Optional dict accumulating per-stage wall seconds
         (``protocol`` / ``sampling`` / ``adversary`` / ``resolve`` /
-        ``accounting`` keys) across runs; ``None`` (default) disables
-        the stage clocks entirely.
+        ``accounting`` keys; the channel hop counts as ``sampling``)
+        across runs; ``None`` (default) disables the stage clocks
+        entirely.
     """
 
     def __init__(
@@ -231,28 +260,35 @@ class Simulator:
         protocol: Protocol,
         adversary: Adversary,
         *,
+        n_channels: int = 1,
         max_slots: int = 50_000_000,
         max_phases: int = 200_000,
         strict: bool = False,
         keep_history: bool = False,
         trace=None,
         resolver: str | None = None,
-        dense: bool | None = None,
-        protocol_driver: str | None = None,
         profile: dict | None = None,
     ) -> None:
+        if n_channels < 1:
+            raise ConfigurationError(f"n_channels must be >= 1, got {n_channels}")
+        declared = getattr(getattr(protocol, "params", None), "n_channels", None)
+        if declared is not None and declared != n_channels:
+            raise ConfigurationError(
+                f"protocol is tuned for {declared} channels but the engine "
+                f"was given n_channels={n_channels}"
+            )
         self.protocol = protocol
         self.adversary = adversary
+        self.n_channels = n_channels
         self.max_slots = max_slots
         self.max_phases = max_phases
         self.strict = strict
         self.keep_history = keep_history
         self.trace = trace
-        self.resolver = resolve_resolver_name(resolver, dense=dense)
+        self.resolver = resolve_resolver_name(resolver)
         self.resolve_phase = (
             resolve_phase_dense if self.resolver == "dense" else resolve_phase
         )
-        self.protocol_driver = resolve_protocol_driver_name(protocol_driver)
         self.profile = profile
 
     def _clock(self, stage: str, since: float) -> float:
@@ -267,6 +303,8 @@ class Simulator:
         factory = RngFactory(seed)
         protocol_rng = factory.get("protocol")
         adversary_rng = factory.get("adversary")
+        C = self.n_channels
+        hop_rng = factory.get("hopping") if C > 1 else None
 
         protocol = self.protocol
         adversary = self.adversary
@@ -290,10 +328,8 @@ class Simulator:
         spec = protocol.next_phase()
         if prof is not None:
             t_stage = self._clock("protocol", t_stage)
-        if spec is not None:
-            n_groups_seen = (
-                int(spec.groups.max()) + 1 if spec.groups is not None else 1
-            )
+        if C == 1 and spec is not None and spec.groups is not None:
+            n_groups_seen = int(spec.groups.max()) + 1
         adversary.begin_run(protocol.n_nodes, n_groups_seen, adversary_rng)
 
         while spec is not None:
@@ -319,6 +355,17 @@ class Simulator:
                 spec.send_kinds,
                 spec.listen_probs,
             )
+            # The channel stage.  Jam groups are a single-channel notion
+            # (jamming "near a node"); on C channels the adversary buys
+            # (channel, slot) cells that disrupt everyone hopping onto
+            # them, so the groups are dropped with the hop.
+            extent = C * spec.length
+            groups = spec.groups
+            if C > 1:
+                sends, listens = _hop_events(
+                    sends, listens, spec.length, C, hop_rng
+                )
+                groups = None
             if prof is not None:
                 t_stage = self._clock("sampling", t_stage)
             ctx = AdversaryContext(
@@ -332,19 +379,20 @@ class Simulator:
                 send_probs=spec.send_probs,
                 listen_probs=spec.listen_probs,
                 spent=ledger.adversary_cost,
+                n_channels=C,
             )
             plan = adversary.plan_phase(ctx)
+            if C > 1 and plan.length != extent:
+                raise ProtocolError(
+                    f"plan must cover {C}x{spec.length} virtual slots, "
+                    f"got {plan.length}"
+                )
             if prof is not None:
                 t_stage = self._clock("adversary", t_stage)
             if sink is not None:
                 t0 = time.perf_counter()
             outcome = self.resolve_phase(
-                spec.length,
-                protocol.n_nodes,
-                sends,
-                listens,
-                plan,
-                groups=spec.groups,
+                extent, protocol.n_nodes, sends, listens, plan, groups=groups
             )
             if sink is not None:
                 resolve_time += time.perf_counter() - t0
@@ -352,7 +400,7 @@ class Simulator:
             if prof is not None:
                 t_stage = self._clock("resolve", t_stage)
             ledger.charge_phase(
-                spec.length,
+                extent,
                 outcome.send_cost + outcome.listen_cost,
                 outcome.adversary_cost,
                 tags=spec.tags,
@@ -361,8 +409,8 @@ class Simulator:
             )
             if self.trace is not None:
                 self.trace.record(
-                    phases, spec.length, protocol.n_nodes, spec.tags,
-                    sends, listens, plan, spec.groups, outcome,
+                    phases, extent, protocol.n_nodes, spec.tags,
+                    sends, listens, plan, groups, outcome,
                 )
             slots += spec.length
             phases += 1
@@ -412,28 +460,38 @@ class Simulator:
         make_protocol=None,
         make_adversary=None,
     ) -> BatchResult:
-        """Play B independent trials as one stacked computation.
+        """Play B independent trials as one stacked lockstep computation.
 
         Bit-identical per trial to ``[self.run(s) for s in seeds]``:
-        every trial keeps its own protocol/adversary instances, rng
-        streams, and :class:`~repro.channel.accounting.EnergyLedger`,
-        and sees exactly the rng call sequence of a serial run — only
-        the deterministic per-phase kernels (event sampling, collision
-        resolution, plan emission) are stacked across trials, which is
-        where the per-trial Python overhead lived.  Trials advance in
-        lockstep; a trial whose protocol halts (or trips the safety
-        caps) simply drops out of subsequent steps.
+        every trial keeps its own rng streams (``protocol``,
+        ``adversary`` and, at ``C > 1``, ``hopping``) and sees exactly
+        the rng call sequence of a serial run.  The protocol holds every
+        trial's state as arrays with a leading trial axis and advances
+        all of them per step
+        (:meth:`~repro.protocols.base.Protocol.next_phase_batch` /
+        :meth:`~repro.protocols.base.Protocol.observe_batch`); event
+        sampling, collision resolution and plan emission are stacked
+        across trials; phase costs accumulate in one
+        :class:`~repro.channel.accounting.BatchEnergyLedger`.
+
+        Trials that halt early (or trip the caps) are masked out of the
+        runnable set, never compacted: their rows ride along frozen,
+        which keeps every surviving trial's rng consumption on the
+        serial schedule.
 
         Parameters
         ----------
         seeds:
             One rng seed per trial.
         make_protocol / make_adversary:
-            Optional zero-argument factories building each trial's
-            instances.  By default each trial gets a ``copy.deepcopy``
-            of the simulator's prototype instances — equivalent for
-            every protocol/adversary in the repo, whose ``reset`` /
-            ``begin_run`` hooks (re-)initialise all run state.
+            Optional zero-argument factories building the batch's
+            protocol and each trial's adversary.  By default the
+            simulator's own protocol is reset for the batch and each
+            trial gets a ``copy.deepcopy`` of its adversary — equivalent
+            for every protocol/adversary in the repo, whose
+            ``reset_batch`` / ``begin_run`` hooks (re-)initialise all
+            run state, so state left behind by an earlier ``run`` or
+            ``run_batch`` never leaks into the next.
 
         Returns
         -------
@@ -447,220 +505,8 @@ class Simulator:
         seeds = list(seeds)
         if len(seeds) == 0:
             return BatchResult(results=(), seeds=())
-        if self.protocol_driver == "serial":
-            return self._run_batch_serial(seeds, make_protocol, make_adversary)
-        return self._run_batch_lockstep(seeds, make_protocol, make_adversary)
-
-    def _run_batch_serial(
-        self, seeds: list, make_protocol, make_adversary
-    ) -> BatchResult:
-        """Per-trial protocol stepping — the batch layer's oracle.
-
-        Sampling and resolution are still stacked across trials; only
-        the protocol state advance loops in Python, exactly the PR-6
-        engine this driver preserves for differential testing.
-        """
         B = len(seeds)
-        protocols = [
-            make_protocol() if make_protocol is not None
-            else copy.deepcopy(self.protocol)
-            for _ in range(B)
-        ]
-        adversaries = [
-            make_adversary() if make_adversary is not None
-            else copy.deepcopy(self.adversary)
-            for _ in range(B)
-        ]
-        n_nodes = protocols[0].n_nodes
-        for p in protocols[1:]:
-            if p.n_nodes != n_nodes:
-                raise ConfigurationError(
-                    "run_batch requires a uniform node count across trials"
-                )
-        adv_type = type(adversaries[0])
-        if any(type(a) is not adv_type for a in adversaries):
-            adv_type = Adversary  # heterogeneous batch: per-trial loop
-
-        factories = [RngFactory(seed) for seed in seeds]
-        protocol_rngs = [f.get("protocol") for f in factories]
-        adversary_rngs = [f.get("adversary") for f in factories]
-
-        ledgers = [
-            EnergyLedger(n_nodes, keep_history=self.keep_history)
-            for _ in range(B)
-        ]
-        slots = [0] * B
-        phases = [0] * B
-        truncated = [False] * B
-        n_groups_seen = [1] * B
-        specs: list = [None] * B
-        sink = get_sink()
-        resolve_time = 0.0
-        n_events = 0
-
-        for t in range(B):
-            protocols[t].reset(protocol_rngs[t])
-            spec = protocols[t].next_phase()
-            specs[t] = spec
-            if spec is not None:
-                n_groups_seen[t] = (
-                    int(spec.groups.max()) + 1 if spec.groups is not None else 1
-                )
-            adversaries[t].begin_run(n_nodes, n_groups_seen[t], adversary_rngs[t])
-
-        active = [t for t in range(B) if specs[t] is not None]
-        while active:
-            step = []
-            for t in active:
-                spec = specs[t]
-                if spec.n_nodes != n_nodes:
-                    raise ProtocolError(
-                        f"phase for {spec.n_nodes} nodes from a protocol "
-                        f"with {n_nodes}"
-                    )
-                if (
-                    slots[t] + spec.length > self.max_slots
-                    or phases[t] >= self.max_phases
-                ):
-                    if self.strict:
-                        raise BudgetExceededError(
-                            f"run exceeded caps (slots={slots[t]}, "
-                            f"phases={phases[t]})"
-                        )
-                    truncated[t] = True
-                    continue
-                step.append(t)
-            if not step:
-                break
-
-            lengths = np.array([specs[t].length for t in step], dtype=np.int64)
-            events = sample_action_events_batch(
-                [protocol_rngs[t] for t in step],
-                lengths,
-                [specs[t].send_probs for t in step],
-                [specs[t].send_kinds for t in step],
-                [specs[t].listen_probs for t in step],
-            )
-            ctxs = [
-                AdversaryContext(
-                    phase_index=phases[t],
-                    length=specs[t].length,
-                    n_nodes=n_nodes,
-                    n_groups=n_groups_seen[t],
-                    tags=dict(specs[t].tags),
-                    sends=events[i][0],
-                    listens=events[i][1],
-                    send_probs=specs[t].send_probs,
-                    listen_probs=specs[t].listen_probs,
-                    spent=ledgers[t].adversary_cost,
-                )
-                for i, t in enumerate(step)
-            ]
-            plans = adv_type.plan_phase_batch(
-                [adversaries[t] for t in step], ctxs
-            )
-            if sink is not None:
-                t0 = time.perf_counter()
-            if self.resolver == "dense":
-                outcomes = [
-                    resolve_phase_dense(
-                        int(lengths[i]), n_nodes, events[i][0], events[i][1],
-                        plans[i], groups=specs[t].groups,
-                    )
-                    for i, t in enumerate(step)
-                ]
-            else:
-                outcomes = resolve_phase_batch(
-                    lengths,
-                    n_nodes,
-                    [ev[0] for ev in events],
-                    [ev[1] for ev in events],
-                    plans,
-                    [specs[t].groups for t in step],
-                )
-            if sink is not None:
-                resolve_time += time.perf_counter() - t0
-                n_events += sum(len(ev[0]) + len(ev[1]) for ev in events)
-
-            for i, t in enumerate(step):
-                spec, outcome = specs[t], outcomes[i]
-                ledgers[t].charge_phase(
-                    spec.length,
-                    outcome.send_cost + outcome.listen_cost,
-                    outcome.adversary_cost,
-                    tags=spec.tags,
-                    send_costs=outcome.send_cost,
-                    listen_costs=outcome.listen_cost,
-                )
-                slots[t] += spec.length
-                phases[t] += 1
-                protocols[t].observe(
-                    PhaseObservation(
-                        length=spec.length,
-                        heard=outcome.heard,
-                        send_cost=outcome.send_cost,
-                        listen_cost=outcome.listen_cost,
-                        tags=dict(spec.tags),
-                    )
-                )
-                adversaries[t].observe_outcome(ctxs[i], outcome)
-                specs[t] = protocols[t].next_phase()
-            active = [t for t in step if specs[t] is not None]
-
-        results = []
-        for t in range(B):
-            if specs[t] is None and not protocols[t].done:
-                raise ProtocolError(
-                    "protocol returned no phase but reports not done"
-                )
-            ledgers[t].check_conservation()
-            results.append(
-                RunResult(
-                    node_costs=ledgers[t].node_costs,
-                    adversary_cost=ledgers[t].adversary_cost,
-                    slots=slots[t],
-                    phases=phases[t],
-                    truncated=truncated[t],
-                    stats=protocols[t].summary(),
-                    phase_history=ledgers[t].history,
-                    node_send_costs=ledgers[t].send_costs,
-                    node_listen_costs=ledgers[t].listen_costs,
-                )
-            )
-        if sink is not None:
-            total_phases = sum(phases)
-            total_slots = sum(slots)
-            sink.span_event(
-                "sim.run_batch", resolve_time,
-                trials=B, phases=total_phases, slots=total_slots,
-                events=n_events,
-                events_per_slot=(
-                    round(n_events / total_slots, 6) if total_slots else 0.0
-                ),
-            )
-        return BatchResult(results=tuple(results), seeds=tuple(seeds))
-
-    def _run_batch_lockstep(
-        self, seeds: list, make_protocol, make_adversary
-    ) -> BatchResult:
-        """Stacked lockstep driver: one batch protocol, no per-trial loop.
-
-        The protocol holds every trial's state as arrays with a leading
-        trial axis and advances all of them per step
-        (:meth:`~repro.protocols.base.Protocol.next_phase_batch` /
-        :meth:`~repro.protocols.base.Protocol.observe_batch`); phase
-        costs accumulate in one :class:`BatchEnergyLedger`; observations
-        scatter straight from the stacked resolver output.  Rng streams
-        stay per-trial, so every trial's results are bit-identical to
-        :meth:`run` — :meth:`_run_batch_serial` is the differential
-        oracle asserting exactly that.
-
-        Trials that halt early (or trip the caps) are masked out of the
-        runnable set, never compacted: their rows ride along frozen,
-        which keeps every surviving trial's rng consumption on the
-        serial schedule.
-        """
-        B = len(seeds)
+        C = self.n_channels
         protocol = (
             make_protocol() if make_protocol is not None else self.protocol
         )
@@ -683,6 +529,7 @@ class Simulator:
         factories = [RngFactory(seed) for seed in seeds]
         protocol_rngs = [f.get("protocol") for f in factories]
         adversary_rngs = [f.get("adversary") for f in factories]
+        hop_rngs = [f.get("hopping") for f in factories] if C > 1 else None
 
         ledger = BatchEnergyLedger(B, n_nodes, keep_history=self.keep_history)
         slots = np.zeros(B, dtype=np.int64)
@@ -701,7 +548,7 @@ class Simulator:
 
         shared_groups = (
             int(spec.groups.max()) + 1
-            if spec is not None and spec.groups is not None
+            if C == 1 and spec is not None and spec.groups is not None
             else 1
         )
         first_active = (
@@ -740,14 +587,24 @@ class Simulator:
             if prof is not None:
                 t_stage = time.perf_counter()
             full = len(idx) == B
+            lengths = spec.lengths if full else spec.lengths[idx]
             events = sample_action_events_batch(
                 protocol_rngs if full else [protocol_rngs[t] for t in idx],
-                spec.lengths if full else spec.lengths[idx],
+                lengths,
                 spec.send_probs if full else spec.send_probs[idx],
                 spec.send_kinds if full else spec.send_kinds[idx],
                 spec.listen_probs if full else spec.listen_probs[idx],
                 validate=False,
             )
+            # The channel stage, per trial on its own hopping stream
+            # exactly as in run().
+            groups = spec.groups
+            if C > 1:
+                events = [
+                    _hop_events(sends, listens, int(length), C, hop_rngs[t])
+                    for (sends, listens), length, t in zip(events, lengths, idx)
+                ]
+                groups = None
             if prof is not None:
                 t_stage = self._clock("sampling", t_stage)
 
@@ -764,12 +621,20 @@ class Simulator:
                     send_probs=spec.send_probs[t],
                     listen_probs=spec.listen_probs[t],
                     spent=int(adv_spent[t]),
+                    n_channels=C,
                 )
                 for i, t in enumerate(idx)
             ]
             plans = adv_type.plan_phase_batch(
                 [adversaries[t] for t in idx], ctxs
             )
+            if C > 1:
+                for i, t in enumerate(idx):
+                    if plans[i].length != C * int(spec.lengths[t]):
+                        raise ProtocolError(
+                            f"plan must cover {C}x{int(spec.lengths[t])} "
+                            f"virtual slots, got {plans[i].length}"
+                        )
             if prof is not None:
                 t_stage = self._clock("adversary", t_stage)
             if sink is not None:
@@ -777,20 +642,20 @@ class Simulator:
             if self.resolver == "dense":
                 core = BatchPhaseOutcome.from_outcomes([
                     resolve_phase_dense(
-                        int(spec.lengths[t]), n_nodes,
+                        C * int(spec.lengths[t]), n_nodes,
                         events[i][0], events[i][1], plans[i],
-                        groups=spec.groups,
+                        groups=groups,
                     )
                     for i, t in enumerate(idx)
                 ])
             else:
                 core = resolve_phase_batch_core(
-                    spec.lengths if full else spec.lengths[idx],
+                    C * lengths,
                     n_nodes,
                     [ev[0] for ev in events],
                     [ev[1] for ev in events],
                     plans,
-                    [spec.groups] * len(idx),
+                    [groups] * len(idx),
                     validate=False,
                 )
             if sink is not None:
@@ -816,8 +681,10 @@ class Simulator:
                 listen_full[idx] = core.listen_cost
                 advc_full[idx] = core.adversary_costs
 
+            # Virtual extent in the ledger, real slots on the latency
+            # counter — the same split as run().
             ledger.charge_phase_batch(
-                runnable, spec.lengths, send_full, listen_full, advc_full,
+                runnable, C * spec.lengths, send_full, listen_full, advc_full,
                 spec.tags,
             )
             slots[runnable] += spec.lengths[runnable]

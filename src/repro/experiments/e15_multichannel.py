@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.simulator import Simulator
 from repro.experiments.registry import ExperimentReport, RunConfig
 from repro.experiments.runner import Table
 from repro.multichannel import (
     ChannelBandJammer,
     MCEpochTargetJammer,
-    MCSimulator,
     hopping_rate_params,
 )
 from repro.protocols.one_to_one import OneToOneBroadcast, OneToOneParams
@@ -40,8 +40,8 @@ from repro.rng import derive
 def _measure(params, adversary_factory, C, n_reps, seed):
     Ts, costs, succ = [], [], []
     for r in range(n_reps):
-        res = MCSimulator(
-            OneToOneBroadcast(params), adversary_factory(), C
+        res = Simulator(
+            OneToOneBroadcast(params), adversary_factory(), n_channels=C
         ).run(derive(seed, C, r))
         Ts.append(res.adversary_cost)
         costs.append(res.max_node_cost)
@@ -69,10 +69,10 @@ def run(config: RunConfig | None = None) -> ExperimentReport:
     for C in channel_counts:
         wins = 0
         for r in range(n_trials):
-            res = MCSimulator(
+            res = Simulator(
                 OneToOneBroadcast(base),
                 MCEpochTargetJammer(target_epoch=0),  # silent
-                C,
+                n_channels=C,
             ).run(derive(seed, 1, C, r))
             wins += res.success
         rates.append(wins / n_trials)

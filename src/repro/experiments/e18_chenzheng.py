@@ -36,7 +36,7 @@ import numpy as np
 from repro.adversaries import BudgetCap, RandomJammer
 from repro.analysis.asciiplot import bar_chart
 from repro.experiments.registry import ExperimentReport, RunConfig
-from repro.experiments.runner import Table, mc_replicate, replicate
+from repro.experiments.runner import Table, replicate
 from repro.multichannel import (
     ChannelBandJammer,
     CZBroadcast,
@@ -61,7 +61,7 @@ N_NODES = 16
 
 def _mc_point(C, T, n_reps, seed, cfg):
     """Mean (cost, adversary spend, slots, success) for one (C, T) cell."""
-    res = mc_replicate(
+    res = replicate(
         lambda: CZBroadcast(CZParams.sim(n_nodes=N_NODES, n_channels=C)),
         lambda: FractionJammer(EPS, max_total=T),
         n_reps, seed, n_channels=C, max_slots=2_000_000, config=cfg,
@@ -87,7 +87,7 @@ def run(config: RunConfig | None = None) -> ExperimentReport:
     # reflects what spreading over C channels costs with nobody jamming.
     unjammed = {}
     for C in channel_counts:
-        res = mc_replicate(
+        res = replicate(
             lambda C=C: CZBroadcast(CZParams.sim(n_nodes=N_NODES, n_channels=C)),
             lambda: ChannelBandJammer(0),
             n_reps, seed, n_channels=C, max_slots=2_000_000, config=cfg,

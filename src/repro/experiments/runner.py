@@ -295,6 +295,7 @@ def replicate(
     seed: int = 0,
     *,
     config=None,
+    n_channels: int | None = None,
     **sim_kwargs,
 ) -> list[RunResult]:
     """Run ``n_reps`` independent executions with derived seeds.
@@ -310,15 +311,26 @@ def replicate(
     runs serially in-process.  With ``config.batch > 1`` replications
     are packed into :meth:`~repro.engine.simulator.Simulator.run_batch`
     tasks of that size — bit-identical results, per-trial cache entries.
+
+    ``n_channels`` runs every trial on that many channels against a
+    multichannel adversary.  The cache fingerprint then folds
+    ``n_channels`` into the task identity (kind ``"mc_replicate"``), so
+    single- and multi-channel runs of the same protocol can never
+    collide in the store; ``None`` (the default) is the single-channel
+    kind ``"replicate"``.
     """
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
     if config is not None and config.history:
         sim_kwargs.setdefault("keep_history", True)
     batch = _resolve_batch(config)
+    kind = "replicate"
+    if n_channels is not None:
+        kind = "mc_replicate"
+        sim_kwargs["n_channels"] = n_channels
 
     store = config.resolve_cache_store() if config is not None else None
-    base = _fingerprint_base(config, store, "replicate", make_protocol, sim_kwargs)
+    base = _fingerprint_base(config, store, kind, make_protocol, sim_kwargs)
     keys = _group_keys(base, make_adversary, [(seed, r) for r in range(n_reps)])
 
     if batch > 1:
@@ -352,84 +364,9 @@ def replicate(
     )
 
 
-def mc_replicate(
-    make_protocol: Callable[[], Protocol],
-    make_adversary,
-    n_reps: int,
-    seed: int = 0,
-    *,
-    n_channels: int,
-    config=None,
-    **sim_kwargs,
-) -> list[RunResult]:
-    """Multichannel counterpart of :func:`replicate`.
-
-    Identical replication/seeding/caching contract, but each trial runs
-    on an :class:`~repro.multichannel.engine.MCSimulator` over
-    ``n_channels`` channels with an
-    :class:`~repro.multichannel.adversaries.MCAdversary`.  The cache
-    fingerprint folds ``n_channels`` into the task identity (kind
-    ``"mc_replicate"``), so single- and multi-channel runs of the same
-    protocol can never collide in the store.
-
-    With ``config.batch > 1`` cache misses are chunked into
-    ``MCSimulator.run_batch`` lockstep groups (warm hits are still
-    served individually from the store), exactly like the
-    single-channel path — per-trial results and cache entries are
-    bit-identical either way, so a sweep can be killed under one batch
-    setting and resumed under another.
-    """
-    from repro.multichannel.engine import MCSimulator
-
-    if n_reps < 1:
-        raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
-    if config is not None and config.history:
-        sim_kwargs.setdefault("keep_history", True)
-    batch = _resolve_batch(config)
-
-    store = config.resolve_cache_store() if config is not None else None
-    base = _fingerprint_base(
-        config,
-        store,
-        "mc_replicate",
-        make_protocol,
-        dict(sim_kwargs, n_channels=n_channels),
-    )
-    keys = _group_keys(base, make_adversary, [(seed, r) for r in range(n_reps)])
-
-    if batch > 1:
-
-        def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
-            def task() -> list[RunResult]:
-                sim = MCSimulator(
-                    make_protocol(), make_adversary(), n_channels, **sim_kwargs
-                )
-                return list(
-                    sim.run_batch(
-                        [derive(seed, r) for r in group],
-                        make_protocol=make_protocol,
-                        make_adversary=make_adversary,
-                    )
-                )
-
-            return task
-
-        return _dispatch_batched(
-            [(0, n_reps)], make_batch_task, keys, config, store, batch
-        )
-
-    def make_task(r: int) -> Callable[[], RunResult]:
-        def task() -> RunResult:
-            sim = MCSimulator(
-                make_protocol(), make_adversary(), n_channels, **sim_kwargs
-            )
-            return sim.run(derive(seed, r))
-
-        return task
-
-    return _dispatch(
-        [make_task(r) for r in range(n_reps)], keys, config, store
-    )
+def mc_replicate(*args, n_channels: int, **kwargs) -> list[RunResult]:
+    """:func:`replicate` on ``n_channels`` channels."""
+    return replicate(*args, n_channels=n_channels, **kwargs)
 
 
 @dataclass(frozen=True)

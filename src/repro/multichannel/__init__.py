@@ -37,12 +37,13 @@ adversary zoo registers in :mod:`repro.adversaries.canonical` with
 describe→rebuild round-trips so multichannel attacks cache and replay
 like single-channel ones.
 
-Mechanics (see :mod:`repro.multichannel.engine`): per slot, an acting
-node picks one of the ``C`` channels uniformly at random; transmissions
-collide only within a (channel, slot) cell; jamming is bought per
-(channel, slot).  The whole thing reduces to the single-channel
-resolver over ``C * L`` *virtual slots*, so channel semantics, costs,
-and the audit trail are identical by construction — and any existing
+Mechanics (the channel stage of :mod:`repro.engine.simulator`, run
+with ``Simulator(..., n_channels=C)``): per slot, an acting node picks
+one of the ``C`` channels uniformly at random; transmissions collide
+only within a (channel, slot) cell; jamming is bought per (channel,
+slot).  The whole thing reduces to the single-channel resolver over
+``C * L`` *virtual slots*, so channel semantics, costs, and the audit
+trail are identical by construction — and any existing
 :class:`~repro.protocols.base.Protocol` runs unmodified.
 """
 

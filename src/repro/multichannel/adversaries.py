@@ -28,18 +28,15 @@ can describe, fingerprint, and rebuild them.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.channel.events import JamPlan, ListenEvents, SendEvents, SlotSet
+from repro.adversaries.base import Adversary, AdversaryContext
+from repro.channel.events import JamPlan, SlotSet
 from repro.errors import ConfigurationError
 from repro.multichannel.schedules import ChannelJamPlan
 
 __all__ = [
     "MCAdversary",
-    "MCContext",
     "ChannelBandJammer",
     "MCEpochTargetJammer",
     "FractionJammer",
@@ -49,55 +46,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MCContext:
-    """What a multichannel strategy may condition on (cf. Lemma 1)."""
+class MCAdversary(Adversary):
+    """Base class for multichannel strategies.
 
-    phase_index: int
-    length: int  # real slots
-    n_channels: int
-    n_nodes: int
-    tags: dict
-    sends: SendEvents  # virtual-slot events
-    listens: ListenEvents
-    spent: int
-
-
-class MCAdversary(ABC):
-    """Base class for multichannel strategies."""
-
-    def begin_run(
-        self, n_nodes: int, n_channels: int, rng: np.random.Generator
-    ) -> None:
-        self._rng = rng
-        self._n_nodes = n_nodes
-        self._n_channels = n_channels
-
-    @abstractmethod
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
-        """Produce a jam plan over the ``C * length`` virtual slots."""
-
-    @classmethod
-    def plan_phase_batch(
-        cls, advs: "list[MCAdversary]", ctxs: "list[MCContext]"
-    ) -> list[JamPlan]:
-        """Plan one lockstep phase for a batch of trials at once.
-
-        ``advs[i]`` is trial ``i``'s adversary instance and ``ctxs[i]``
-        its context; all contexts in one call share ``n_channels`` and
-        ``n_nodes`` while per-trial fields (length, phase_index, spent,
-        events) vary freely.  The default simply loops
-        :meth:`plan_phase`; subclasses override it to share canonical
-        :class:`~repro.multichannel.schedules.ChannelJamPlan` schedules
-        across trials.  Overriding is purely a performance optimisation
-        and must stay bit-identical to the loop — the batched engine's
-        differential suites enforce exactly that.
-        """
-        return [a.plan_phase(c) for a, c in zip(advs, ctxs)]
+    A multichannel strategy is an ordinary
+    :class:`~repro.adversaries.base.Adversary` whose plans cover the
+    ``ctx.n_channels * ctx.length`` virtual slots; the engine rejects a
+    plan of any other length.
+    """
 
 
 def _band_suffix_plan(
-    ctx: MCContext, n_channels_jammed: int, q: float
+    ctx: AdversaryContext, n_channels_jammed: int, q: float
 ) -> JamPlan:
     """Jam the last ``q`` fraction of the phase on ``k`` channels.
 
@@ -146,7 +106,7 @@ class ChannelBandJammer(MCAdversary):
         self.q = q
         self.max_total = max_total
 
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
+    def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
         plan = _band_suffix_plan(ctx, self.n_channels_jammed, self.q)
         if self.max_total is not None and plan.cost > self.max_total - ctx.spent:
             keep = max(0, self.max_total - ctx.spent)
@@ -206,7 +166,7 @@ class MCEpochTargetJammer(MCAdversary):
         self.target_epoch = target_epoch
         self.q = q
 
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
+    def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
         epoch = ctx.tags.get("epoch")
         if epoch is None or epoch > self.target_epoch:
             return JamPlan.silent(ctx.n_channels * ctx.length)
@@ -245,7 +205,7 @@ class FractionJammer(MCAdversary):
         self.eps = eps
         self.max_total = max_total
 
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
+    def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
         cplan = ChannelJamPlan.fraction(ctx.length, ctx.n_channels, self.eps)
         if self.max_total is not None:
             cplan = cplan.take_first_cells(self.max_total - ctx.spent)
@@ -323,7 +283,7 @@ class ChannelSweepJammer(MCAdversary):
         self.q = q
         self.max_total = max_total
 
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
+    def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
         n_jam = int(round(self.q * ctx.length))
         k = min(self.width, ctx.n_channels)
         if k == 0 or n_jam == 0:
@@ -396,7 +356,7 @@ class ChannelFollowerJammer(MCAdversary):
         self.q = q
         self.max_total = max_total
 
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
+    def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
         n_react = int(round(self.q * ctx.length))
         cells = np.unique(ctx.listens.slots)
         if n_react and len(cells):
@@ -464,11 +424,11 @@ class MCBudgetCap(MCAdversary):
         self.inner = inner
         self.budget = budget
 
-    def begin_run(self, n_nodes, n_channels, rng) -> None:
-        super().begin_run(n_nodes, n_channels, rng)
-        self.inner.begin_run(n_nodes, n_channels, rng)
+    def begin_run(self, n_nodes, n_groups, rng) -> None:
+        super().begin_run(n_nodes, n_groups, rng)
+        self.inner.begin_run(n_nodes, n_groups, rng)
 
-    def plan_phase(self, ctx: MCContext) -> JamPlan:
+    def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
         plan = self.inner.plan_phase(ctx)
         remaining = self.budget - ctx.spent
         if plan.cost <= remaining:

@@ -22,8 +22,9 @@ phase-driven :class:`~repro.protocols.base.Protocol` API:
   per channel stays ~1 once everyone is informed — the Chen–Zheng
   "one broadcaster per channel" discipline), uninformed nodes listen
   with the uncapped epoch rate;
-* **channel hopping** — supplied by :class:`~repro.multichannel.engine
-  .MCSimulator`'s uniform per-slot hop; the protocol itself is
+* **channel hopping** — supplied by the engine's uniform per-slot hop
+  (:class:`~repro.engine.simulator.Simulator` with ``n_channels=C``);
+  the protocol itself is
   channel-oblivious and at ``C = 1`` degenerates to a single-channel
   1-to-n epidemic broadcast (the Theorem 3 setting).
 
@@ -70,8 +71,8 @@ class CZParams:
     n_nodes:
         Population size ``n >= 2``; node 0 is the source.
     n_channels:
-        Band width ``C`` the protocol is tuned for (the engine's
-        ``MCSimulator`` must be constructed with the same ``C``).  Only
+        Band width ``C`` the protocol is tuned for (the engine must be
+        constructed with the same ``n_channels``).  Only
         the ``C / n`` send cap depends on it; ``C = 1`` is the
         single-channel degeneration.
     epsilon:

@@ -100,3 +100,86 @@ class TestTaskKey:
         key = task_key(make_base(), (0, 0))
         assert len(key) == 64
         int(key, 16)  # parses as hex
+
+
+class TestLiteralKeyPins:
+    """Keys a runner writes, pinned as literals: any change to the key
+    composition (kind, simulator kwargs, describe forms, seed paths)
+    turns every user's warm cache cold, and must show up here."""
+
+    # replicate(OneToOne sim, EpochTargetJammer(12, q=1.0), 2, seed=0)
+    # as experiment E1 (quick), single-channel.
+    REPLICATE_KEYS = [
+        "10eefe2ce2b1b74d73e1a3285b521eda7b03ad183ded97207737480578ab54bc",
+        "9ebc28d73e9daa7da63692767810765cfd3bea61a2ce576ee8f0fcfa99b6e5a7",
+    ]
+    # replicate(CZ 16 nodes C=4, FractionJammer(0.15, max_total=2000),
+    # 2, seed=0, n_channels=4, max_slots=2_000_000) as experiment E18.
+    MC_REPLICATE_KEYS = [
+        "d93a5e65db01e882a4e4ab48acc4ef53b9bdc353f816d2ed13cc8fd512cf232d",
+        "8f979d8b26fa41611e1a01e02fe24e58203d532ff3a0e40ab7e96bcc6f47f930",
+    ]
+
+    class RecordingStore:
+        """Wraps a real store, remembering every key written."""
+
+        def __init__(self, root):
+            from repro.cache.store import CacheStore
+
+            self.inner = CacheStore(root)
+            self.keys = []
+
+        def get_many(self, keys):
+            return self.inner.get_many(keys)
+
+        def put(self, key, result, meta=None):
+            self.keys.append(key)
+            return self.inner.put(key, result, meta=meta)
+
+    def _keys(self, tmp_path, experiment, batch, **replicate_kwargs):
+        from repro.experiments.registry import RunConfig
+        from repro.experiments.runner import replicate
+
+        store = self.RecordingStore(tmp_path / f"b{batch}")
+        config = RunConfig(
+            cache=True, cache_store=store, experiment=experiment, batch=batch
+        )
+        replicate(n_reps=2, seed=0, config=config, **replicate_kwargs)
+        return store.keys
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_replicate_keys(self, tmp_path, batch):
+        keys = self._keys(
+            tmp_path, "E1", batch,
+            make_protocol=lambda: OneToOneBroadcast(OneToOneParams.sim()),
+            make_adversary=lambda: EpochTargetJammer(12, q=1.0),
+        )
+        assert keys == self.REPLICATE_KEYS
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_multichannel_replicate_keys(self, tmp_path, batch):
+        from repro.multichannel import CZBroadcast, CZParams, FractionJammer
+
+        keys = self._keys(
+            tmp_path, "E18", batch,
+            make_protocol=lambda: CZBroadcast(
+                CZParams.sim(n_nodes=16, n_channels=4)
+            ),
+            make_adversary=lambda: FractionJammer(0.15, max_total=2000),
+            n_channels=4, max_slots=2_000_000,
+        )
+        assert keys == self.MC_REPLICATE_KEYS
+
+    def test_mc_replicate_delegate_writes_the_same_keys(self, tmp_path):
+        from repro.experiments.registry import RunConfig
+        from repro.experiments.runner import mc_replicate
+        from repro.multichannel import CZBroadcast, CZParams, FractionJammer
+
+        store = self.RecordingStore(tmp_path)
+        mc_replicate(
+            lambda: CZBroadcast(CZParams.sim(n_nodes=16, n_channels=4)),
+            lambda: FractionJammer(0.15, max_total=2000),
+            2, 0, n_channels=4, max_slots=2_000_000,
+            config=RunConfig(cache=True, cache_store=store, experiment="E18"),
+        )
+        assert store.keys == self.MC_REPLICATE_KEYS

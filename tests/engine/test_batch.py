@@ -398,14 +398,14 @@ class TestBatchedDrivers:
 class TestMultichannelBatch:
     def test_run_batch_matches_serial(self):
         from repro.multichannel import MCEpochTargetJammer
-        from repro.multichannel.engine import MCSimulator
 
         mk_a = lambda: MCEpochTargetJammer(P11.first_epoch + 2, q=1.0)  # noqa: E731
         seeds = [0, 1, 2]
         serial = [
-            MCSimulator(mk_one_to_one(), mk_a(), 2).run(s) for s in seeds
+            Simulator(mk_one_to_one(), mk_a(), n_channels=2).run(s)
+            for s in seeds
         ]
-        batch = MCSimulator(mk_one_to_one(), mk_a(), 2).run_batch(
+        batch = Simulator(mk_one_to_one(), mk_a(), n_channels=2).run_batch(
             seeds, make_protocol=mk_one_to_one, make_adversary=mk_a
         )
         assert isinstance(batch, BatchResult)
@@ -413,13 +413,10 @@ class TestMultichannelBatch:
             assert result_json(got) == result_json(want)
 
     def test_resolver_knob(self):
-        from repro.multichannel.engine import MCSimulator
-
-        sim = MCSimulator(mk_one_to_one(), SilentAdversary(), 2, resolver="dense")
+        sim = Simulator(
+            mk_one_to_one(), SilentAdversary(), n_channels=2, resolver="dense"
+        )
         assert sim.resolver == "dense"
-        with pytest.warns(DeprecationWarning):
-            legacy = MCSimulator(mk_one_to_one(), SilentAdversary(), 2, dense=True)
-        assert legacy.resolver == "dense"
 
 
 def test_simulator_resolver_independent_of_batching():

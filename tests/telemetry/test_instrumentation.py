@@ -62,6 +62,62 @@ class TestSimulatorSpans:
         assert plain.slots == traced.slots
 
 
+class TestMultichannelObservability:
+    """The channel axis rides the same telemetry and profile hooks as
+    single-channel runs."""
+
+    C = 4
+
+    def _sim(self, **kwargs):
+        from repro.engine.simulator import Simulator
+        from repro.multichannel import CZBroadcast, CZParams, FractionJammer
+
+        return Simulator(
+            CZBroadcast(CZParams.sim(n_nodes=16, n_channels=self.C)),
+            FractionJammer(0.15, max_total=2000),
+            n_channels=self.C, max_slots=100_000, **kwargs,
+        )
+
+    def test_run_span_matches_result(self, tmp_path):
+        sim = self._sim()
+        resolve = sim.resolve_phase
+        seen = []
+
+        def counting(length, n_nodes, sends, listens, plan, groups=None):
+            seen.append(len(sends) + len(listens))
+            return resolve(length, n_nodes, sends, listens, plan, groups)
+
+        sim.resolve_phase = counting
+        with session(tmp_path) as sink:
+            result = sim.run(3)
+        (span,) = events_named(sink.run_dir, "sim.run")
+        assert span["attrs"]["phases"] == result.phases == len(seen)
+        assert span["attrs"]["slots"] == result.slots
+        assert span["attrs"]["events"] == sum(seen) > 0
+
+    def test_run_batch_span(self, tmp_path):
+        with session(tmp_path) as sink:
+            batch = self._sim().run_batch([3, 4, 5])
+        (span,) = events_named(sink.run_dir, "sim.run_batch")
+        assert span["attrs"]["trials"] == 3
+        assert span["attrs"]["phases"] == int(batch.phases.sum())
+        assert span["attrs"]["slots"] == int(batch.slots.sum())
+        assert span["attrs"]["events"] > 0
+
+    def test_profile_accumulates_stages_without_perturbing(self):
+        from repro.store import run_result_to_dict
+
+        stages = ("protocol", "sampling", "adversary", "resolve", "accounting")
+        for call in (lambda sim: [sim.run(3)], lambda sim: sim.run_batch([3, 4])):
+            prof: dict = {}
+            got = call(self._sim(profile=prof))
+            want = call(self._sim())
+            assert all(prof.get(stage, -1.0) >= 0.0 for stage in stages), prof
+            assert [run_result_to_dict(r) for r in got] == [
+                run_result_to_dict(r) for r in want
+            ]
+
+
 class TestCacheTelemetry:
     def _tasks(self, n):
         keys = [f"{i:064x}" for i in range(n)]

@@ -2,12 +2,13 @@
 
 The contract mirrors the single-channel suite in
 ``tests/engine/test_batch.py``: trial ``t`` of
-``MCSimulator.run_batch(seeds)`` must equal ``run(seeds[t])`` exactly —
+``Simulator(..., n_channels=C).run_batch(seeds)`` must equal
+``run(seeds[t])`` exactly —
 same per-trial rng streams (``protocol``, ``hopping``, ``adversary``),
 same costs, same stats, same phase history — for every protocol and
 adversary in the multichannel zoo.  On top of that sit the regression
 pins for the three MC-specific bug classes: hop-rng stream ordering at
-C>1, real-slot cap semantics, and dirty-state deepcopy fallbacks.
+C>1, real-slot cap semantics, and reuse of one engine across calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError
 from repro.experiments.registry import RunConfig
-from repro.experiments.runner import mc_replicate
+from repro.experiments.runner import replicate
 from repro.multichannel import (
     ChannelBandJammer,
     ChannelFollowerJammer,
@@ -31,10 +32,9 @@ from repro.multichannel import (
     FractionJammer,
     MCBudgetCap,
     MCEpochTargetJammer,
-    MCSimulator,
 )
-from repro.multichannel.engine import _hop, _hop_batch, _half_duplex
 from repro.channel.events import ListenEvents, SendEvents
+from repro.engine.simulator import Simulator, _half_duplex, _hop, _hop_events
 from repro.rng import RngFactory
 from repro.store import run_result_to_dict
 
@@ -43,8 +43,8 @@ pytestmark = pytest.mark.engine
 C = 4
 
 
-def mk_cz():
-    return CZBroadcast(CZParams.sim(n_nodes=16, n_channels=C))
+def mk_cz(n_channels=C):
+    return CZBroadcast(CZParams.sim(n_nodes=16, n_channels=n_channels))
 
 
 def mk_pair():
@@ -89,16 +89,10 @@ class TestMCDifferential:
     def test_grid(self, mk_p, adv):
         mk_a = ADVERSARIES[adv]
         seeds = [5, 6, 7]
-        sim = MCSimulator(
-            mk_p(), mk_a(), C, max_slots=100_000, keep_history=True
-        )
+        kwargs = dict(n_channels=C, max_slots=100_000, keep_history=True)
+        sim = Simulator(mk_p(), mk_a(), **kwargs)
         batch = sim.run_batch(seeds, make_protocol=mk_p, make_adversary=mk_a)
-        serial = [
-            MCSimulator(
-                mk_p(), mk_a(), C, max_slots=100_000, keep_history=True
-            ).run(s)
-            for s in seeds
-        ]
+        serial = [Simulator(mk_p(), mk_a(), **kwargs).run(s) for s in seeds]
         assert_identical(batch, serial)
 
     @settings(max_examples=10, deadline=None)
@@ -113,18 +107,18 @@ class TestMCDifferential:
         )
         mk_b = lambda: FractionJammer(eps, max_total=1500)  # noqa: E731
         for mk_adv in (mk_a, mk_b):
-            sim = MCSimulator(mk_cz(), mk_adv(), C, max_slots=50_000)
+            kwargs = dict(n_channels=C, max_slots=50_000)
+            sim = Simulator(mk_cz(), mk_adv(), **kwargs)
             batch = sim.run_batch(
                 seeds, make_protocol=mk_cz, make_adversary=mk_adv
             )
             serial = [
-                MCSimulator(mk_cz(), mk_adv(), C, max_slots=50_000).run(s)
-                for s in seeds
+                Simulator(mk_cz(), mk_adv(), **kwargs).run(s) for s in seeds
             ]
             assert_identical(batch, serial)
 
     def test_heterogeneous_adversaries_fall_back(self):
-        # Mixed adversary types per trial route through the MCAdversary
+        # Mixed adversary types per trial route through the Adversary
         # base loop; results must still match serial exactly.
         zoo = [
             lambda: FractionJammer(0.2, max_total=1000),
@@ -134,13 +128,14 @@ class TestMCDifferential:
         calls = iter(range(100))
         mk_a = lambda: zoo[next(calls) % len(zoo)]()  # noqa: E731
         seeds = [1, 2, 3]
-        sim = MCSimulator(mk_cz(), zoo[0](), C, max_slots=50_000)
+        sim = Simulator(mk_cz(), zoo[0](), n_channels=C, max_slots=50_000)
         batch = sim.run_batch(seeds, make_protocol=mk_cz, make_adversary=mk_a)
         serial = []
         for i, s in enumerate(seeds):
             serial.append(
-                MCSimulator(
-                    mk_cz(), zoo[i % len(zoo)](), C, max_slots=50_000
+                Simulator(
+                    mk_cz(), zoo[i % len(zoo)](), n_channels=C,
+                    max_slots=50_000,
                 ).run(s)
             )
         assert_identical(batch, serial)
@@ -148,11 +143,11 @@ class TestMCDifferential:
     def test_dense_resolver_matches(self):
         mk_a = ADVERSARIES["fraction"]
         seeds = [3, 4]
-        sparse = MCSimulator(mk_cz(), mk_a(), C, max_slots=20_000).run_batch(
-            seeds, make_protocol=mk_cz, make_adversary=mk_a
-        )
-        dense = MCSimulator(
-            mk_cz(), mk_a(), C, max_slots=20_000, resolver="dense"
+        sparse = Simulator(
+            mk_cz(), mk_a(), n_channels=C, max_slots=20_000
+        ).run_batch(seeds, make_protocol=mk_cz, make_adversary=mk_a)
+        dense = Simulator(
+            mk_cz(), mk_a(), n_channels=C, max_slots=20_000, resolver="dense"
         ).run_batch(seeds, make_protocol=mk_cz, make_adversary=mk_a)
         assert_identical(dense, list(sparse))
 
@@ -181,16 +176,16 @@ class TestHopRngContract:
         rngs_a = [np.random.default_rng(100 + t) for t in range(3)]
         rngs_b = [np.random.default_rng(100 + t) for t in range(3)]
 
-        v_sends, v_listens = _hop_batch(
-            events, [length] * 3, n_channels, rngs_a
-        )
         for t, (sends, listens) in enumerate(events):
+            v_sends, v_listens = _hop_events(
+                sends, listens, length, n_channels, rngs_a[t]
+            )
             kept = _half_duplex(sends, listens, length)
             want_s = _hop(sends.slots, length, n_channels, rngs_b[t])
             want_l = _hop(kept.slots, length, n_channels, rngs_b[t])
-            assert np.array_equal(v_sends[t].slots, want_s)
-            assert np.array_equal(v_listens[t].slots, want_l)
-            assert np.array_equal(v_listens[t].nodes, kept.nodes)
+            assert np.array_equal(v_sends.slots, want_s)
+            assert np.array_equal(v_listens.slots, want_l)
+            assert np.array_equal(v_listens.nodes, kept.nodes)
             # Stream end-state: exactly the serial draws, no more.
             assert rngs_a[t].integers(2**62) == rngs_b[t].integers(2**62)
 
@@ -205,10 +200,10 @@ class TestHopRngContract:
         listens = ListenEvents(nodes, slots)
         rng = np.random.default_rng(0)
         ref = np.random.default_rng(0)
-        v_sends, v_listens = _hop_batch(
-            [(sends, listens)], [length], n_channels, [rng]
+        v_sends, v_listens = _hop_events(
+            sends, listens, length, n_channels, rng
         )
-        assert len(v_listens[0]) == 0  # all filtered
+        assert len(v_listens) == 0  # all filtered
         ref.integers(0, n_channels, 4)  # only the send hop drew
         assert rng.integers(2**62) == ref.integers(2**62)
 
@@ -217,9 +212,9 @@ class TestHopRngContract:
         hopping (or protocol/adversary) stream order shows up here."""
         mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
         seeds = [0, 1, 2]
-        batch = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000).run_batch(
-            seeds, make_protocol=mk_cz, make_adversary=mk_a
-        )
+        batch = Simulator(
+            mk_cz(), mk_a(), n_channels=C, max_slots=100_000
+        ).run_batch(seeds, make_protocol=mk_cz, make_adversary=mk_a)
         assert [int(r.node_costs.sum()) for r in batch] == PIN_NODE_TOTALS
         assert [r.adversary_cost for r in batch] == PIN_ADV_COSTS
         assert [r.slots for r in batch] == PIN_SLOTS
@@ -253,8 +248,9 @@ class TestRealSlotCapSemantics:
         # (doubled) phase truncates; under virtual-slot semantics
         # C * L0 > L0 would truncate immediately with zero phases.
         for runner in ("run", "run_batch"):
-            sim = MCSimulator(
-                mk_cz(), mk_a(), C, max_slots=L0, keep_history=True
+            sim = Simulator(
+                mk_cz(), mk_a(), n_channels=C, max_slots=L0,
+                keep_history=True,
             )
             if runner == "run":
                 r = sim.run(3)
@@ -274,42 +270,56 @@ class TestRealSlotCapSemantics:
         L0 = self._first_length()
         mk_a = lambda: ChannelBandJammer(0)  # noqa: E731
         with pytest.raises(BudgetExceededError) as serial_exc:
-            MCSimulator(mk_cz(), mk_a(), C, max_slots=L0, strict=True).run(3)
+            Simulator(
+                mk_cz(), mk_a(), n_channels=C, max_slots=L0, strict=True
+            ).run(3)
         with pytest.raises(BudgetExceededError) as batch_exc:
-            MCSimulator(
-                mk_cz(), mk_a(), C, max_slots=L0, strict=True
+            Simulator(
+                mk_cz(), mk_a(), n_channels=C, max_slots=L0, strict=True
             ).run_batch([3], make_protocol=mk_cz, make_adversary=mk_a)
         assert str(serial_exc.value) == str(batch_exc.value)
 
 
 class TestRunBatchReuse:
-    """Satellite: the no-factory deepcopy fallback must seed trials from
-    pristine state, not from whatever an earlier run left behind."""
+    """Without factories, ``run_batch`` resets the engine's own protocol
+    and deep-copies its adversary: whatever an earlier ``run`` or
+    ``run_batch`` left behind must not leak into the next call, on one
+    channel or many."""
 
     def test_back_to_back_run_batch_bit_identical(self):
-        sim = MCSimulator(
-            mk_cz(), FractionJammer(0.15, max_total=2000), C,
-            max_slots=100_000,
-        )
-        seeds = [11, 12, 13]
-        first = [result_json(r) for r in sim.run_batch(seeds)]
-        second = [result_json(r) for r in sim.run_batch(seeds)]
-        assert first == second
+        for n_channels in (1, C):
+            sim = Simulator(
+                mk_cz(n_channels), FractionJammer(0.15, max_total=2000),
+                n_channels=n_channels, max_slots=100_000,
+            )
+            seeds = [11, 12, 13]
+            first = [result_json(r) for r in sim.run_batch(seeds)]
+            second = [result_json(r) for r in sim.run_batch(seeds)]
+            assert first == second, n_channels
 
     def test_run_then_run_batch_not_dirtied(self):
         mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
-        fresh = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000)
-        want = [result_json(r) for r in fresh.run_batch([7, 8])]
+        for n_channels in (1, C):
+            fresh = Simulator(
+                mk_cz(n_channels), mk_a(), n_channels=n_channels,
+                max_slots=100_000,
+            )
+            want = [result_json(r) for r in fresh.run_batch([7, 8])]
 
-        dirty = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000)
-        dirty.run(42)  # mutates the live protocol/adversary
-        got = [result_json(r) for r in dirty.run_batch([7, 8])]
-        assert got == want
+            dirty = Simulator(
+                mk_cz(n_channels), mk_a(), n_channels=n_channels,
+                max_slots=100_000,
+            )
+            dirty.run(42)  # mutates the live protocol/adversary
+            got = [result_json(r) for r in dirty.run_batch([7, 8])]
+            assert got == want, n_channels
 
     def test_serial_driver_reuse_matches_too(self):
-        sim = MCSimulator(
-            mk_cz(), FractionJammer(0.15, max_total=2000), C,
-            max_slots=100_000, protocol_driver="serial",
+        # run, then two batches on one engine: the serial run's state
+        # must not leak into either batch.
+        sim = Simulator(
+            mk_cz(), FractionJammer(0.15, max_total=2000), n_channels=C,
+            max_slots=100_000,
         )
         sim.run(42)
         a = [result_json(r) for r in sim.run_batch([1, 2])]
@@ -317,19 +327,19 @@ class TestRunBatchReuse:
         assert a == b
 
     def test_empty_batch(self):
-        sim = MCSimulator(mk_cz(), FractionJammer(0.15), C)
+        sim = Simulator(mk_cz(), FractionJammer(0.15), n_channels=C)
         out = sim.run_batch([])
         assert list(out) == []
 
 
 class TestMCReplicateBatchCache:
-    """Satellite: mc_replicate batch × cache interplay at C>1, mirroring
+    """replicate(n_channels=C) batch × cache interplay at C>1, mirroring
     the single-channel suite."""
 
     MK_A = staticmethod(lambda: FractionJammer(0.2, max_total=1500))
 
     def _replicate(self, n, config=None):
-        return mc_replicate(
+        return replicate(
             mk_cz, self.MK_A, n, seed=9, n_channels=C,
             max_slots=50_000, config=config,
         )

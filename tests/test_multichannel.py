@@ -24,21 +24,24 @@ from repro.multichannel import (
     hopping_rate_params,
     mc_run,
 )
-from repro.multichannel.adversaries import MCContext
-from repro.multichannel.engine import _hop
+from repro.adversaries.base import AdversaryContext
+from repro.engine.simulator import Simulator, _hop
 from repro.protocols.one_to_one import OneToOneBroadcast, OneToOneParams
 
 
 def ctx(length=64, C=4, tags=None, spent=0):
-    return MCContext(
+    return AdversaryContext(
         phase_index=0,
         length=length,
-        n_channels=C,
         n_nodes=2,
+        n_groups=1,
         tags=tags or {},
         sends=SendEvents.empty(),
         listens=ListenEvents.empty(),
+        send_probs=np.zeros(2),
+        listen_probs=np.zeros(2),
         spent=spent,
+        n_channels=C,
     )
 
 
@@ -192,7 +195,7 @@ class TestCZBroadcast:
     def test_channel_count_must_match_engine(self):
         proto = CZBroadcast(CZParams.sim(n_nodes=16, n_channels=4))
         with pytest.raises(ConfigurationError):
-            MCSimulator(proto, ChannelBandJammer(0), 2)
+            Simulator(proto, ChannelBandJammer(0), n_channels=2)
 
 
 class TestNewMCAdversaries:
@@ -293,11 +296,25 @@ class TestMCSimulator:
         )  # same blocked horizon
         assert runs[4].adversary_cost == 4 * runs[1].adversary_cost
 
+    def test_positional_spelling_is_the_one_engine(self):
+        proto = OneToOneBroadcast(OneToOneParams.sim())
+        sim = MCSimulator(proto, MCEpochTargetJammer(8, q=1.0), 4)
+        assert isinstance(sim, Simulator) and sim.n_channels == 4
+        assert "run" not in vars(MCSimulator)
+        assert "run_batch" not in vars(MCSimulator)
+        want = Simulator(
+            OneToOneBroadcast(OneToOneParams.sim()),
+            MCEpochTargetJammer(8, q=1.0), n_channels=4,
+        ).run(9)
+        got = sim.run(9)
+        assert list(got.node_costs) == list(want.node_costs)
+        assert got.adversary_cost == want.adversary_cost
+
     def test_invalid_channels(self):
         with pytest.raises(ConfigurationError):
-            MCSimulator(
+            Simulator(
                 OneToOneBroadcast(OneToOneParams.sim()),
-                MCEpochTargetJammer(5), 0,
+                MCEpochTargetJammer(5), n_channels=0,
             )
 
     def test_latency_counted_in_real_slots(self):
@@ -428,7 +445,7 @@ class TestSingleChannelEquivalence:
 
 
 class TestBatchIdentity:
-    """MCSimulator.run_batch must stay per-trial bit-identical to run
+    """run_batch at C>1 must stay per-trial bit-identical to run
     across the new protocol and adversary zoo."""
 
     @pytest.mark.parametrize(
@@ -448,8 +465,8 @@ class TestBatchIdentity:
             CZParams.sim(n_nodes=16, n_channels=C)
         )
         seeds = [11, 12, 13]
-        sim = MCSimulator(
-            make_protocol(), make_adversary(), C, max_slots=100_000
+        sim = Simulator(
+            make_protocol(), make_adversary(), n_channels=C, max_slots=100_000
         )
         batched = list(
             sim.run_batch(
@@ -459,8 +476,8 @@ class TestBatchIdentity:
             )
         )
         for seed, b in zip(seeds, batched):
-            solo = MCSimulator(
-                make_protocol(), make_adversary(), C, max_slots=100_000
+            solo = Simulator(
+                make_protocol(), make_adversary(), n_channels=C, max_slots=100_000
             ).run(seed)
             assert list(b.node_costs) == list(solo.node_costs)
             assert b.adversary_cost == solo.adversary_cost
