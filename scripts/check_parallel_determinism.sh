@@ -42,7 +42,11 @@
 #    then a fixed-seed arena search against the cz-c4
 #    multichannel preset serially and with -j 2 (byte-identical
 #    leaderboards), and replays the discovered attack from the corpus
-#    demanding exact agreement.
+#    demanding exact agreement.  Last, a longer cz-c4 search (seed 11,
+#    4 generations of 12) must be byte-identical to the stored
+#    results/baseline/arena/ARENA-SEARCH-cz-c4-seed11.json: the only
+#    stored reference that covers the follower and the budget-cap
+#    time-major trim, so a faster schedule layer cannot move them.
 # 9. Runs the `telemetry`-marked pytest suite (sink, readers,
 #    instrumentation coverage).
 # 10. Runs E1 with and without --telemetry and requires the two saved
@@ -195,7 +199,15 @@ if ! python -m repro.cli arena replay --corpus "$tmp/mc-corpus.jsonl" \
     echo "FAIL: multichannel corpus replay was not exact" >&2
     exit 1
 fi
-echo "OK: E18 byte-identical with -j 2; MC arena search deterministic and replayable"
+python -m repro.cli arena search --seed 11 --protocol cz-c4 \
+    --generations 4 --population 12 --reps 2 \
+    --save "$tmp/mc-arena-stored" > /dev/null
+if ! cmp "$tmp/mc-arena-stored/ARENA-SEARCH.json" \
+         results/baseline/arena/ARENA-SEARCH-cz-c4-seed11.json; then
+    echo "FAIL: cz-c4 arena search differs from its stored baseline" >&2
+    exit 1
+fi
+echo "OK: E18 byte-identical with -j 2; MC arena search deterministic, replayable and equal to its stored baseline"
 
 echo "== CLI byte-identity: duel default output across repeats =="
 python -m repro.cli duel --points 2 --reps 2 > "$tmp/duel-a.out"

@@ -43,6 +43,28 @@ def _merge_sorted(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.
     return starts[idx], cmax[last]
 
 
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``keys``, sorting ``keys`` in place
+    (``np.unique`` without the hash-table detour, which costs ~10× more
+    at per-phase sizes)."""
+    if not len(keys):
+        return keys
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs ``[start, end)`` of a non-empty, strictly
+    increasing ``int64`` array — one pass, no re-sorting."""
+    brk = np.flatnonzero(np.diff(cells) > 1)
+    starts = cells[np.concatenate(([0], brk + 1))]
+    ends = cells[np.concatenate((brk, [len(cells) - 1]))] + 1
+    return starts, ends
+
+
 @dataclass(frozen=True, eq=False)
 class SlotSet:
     """An immutable set of slot indices as sorted disjoint intervals.
@@ -115,10 +137,7 @@ class SlotSet:
         arr = np.unique(np.asarray(slots, dtype=np.int64))
         if len(arr) == 0:
             return SlotSet.empty()
-        brk = np.flatnonzero(np.diff(arr) > 1)
-        starts = arr[np.concatenate(([0], brk + 1))]
-        ends = arr[np.concatenate((brk, [len(arr) - 1]))] + 1
-        return SlotSet(starts, ends)
+        return SlotSet(*runs(arr))
 
     @staticmethod
     def coerce(obj) -> "SlotSet":

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from repro.channel.events import ListenEvents, SendEvents
+from repro.channel.intervals import sorted_distinct as _sorted_distinct
 from repro.errors import SimulationError
 
 __all__ = [
@@ -94,20 +95,6 @@ def bernoulli_positions(
         extra = np.cumsum(_geometric_gaps(rng, p, batch, cap)) + positions[-1]
         positions = np.concatenate([positions, extra])
     return positions[positions < length]
-
-
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of ``keys`` (``np.unique`` without the
-    hash-table detour — the rejection loops re-dedup near-sorted key
-    sets every round, where an in-place sort plus adjacency mask wins).
-    """
-    if not len(keys):
-        return keys
-    keys.sort()
-    keep = np.empty(len(keys), dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
 
 
 #: Largest segment count whose index fits above a 53-bit mantissa in an

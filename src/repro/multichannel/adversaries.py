@@ -32,8 +32,9 @@ import numpy as np
 
 from repro.adversaries.base import Adversary, AdversaryContext
 from repro.channel.events import JamPlan, SlotSet
+from repro.channel.intervals import runs, sorted_distinct
 from repro.errors import ConfigurationError
-from repro.multichannel.schedules import ChannelJamPlan
+from repro.multichannel.schedules import ChannelJamPlan, band_split
 
 __all__ = [
     "MCAdversary",
@@ -357,47 +358,27 @@ class ChannelFollowerJammer(MCAdversary):
         self.max_total = max_total
 
     def plan_phase(self, ctx: AdversaryContext) -> JamPlan:
-        n_react = int(round(self.q * ctx.length))
-        cells = np.unique(ctx.listens.slots)
-        if n_react and len(cells):
-            cells = cells[cells % ctx.length >= ctx.length - n_react]
-        if not n_react or not len(cells):
-            return JamPlan.silent(ctx.n_channels * ctx.length)
-        cplan = ChannelJamPlan.from_virtual(
-            ctx.length, ctx.n_channels, cells
-        )
-        if self.max_total is not None:
-            cplan = cplan.take_first_cells(self.max_total - ctx.spent)
-        return cplan.compile()
-
-    @classmethod
-    def plan_phase_batch(cls, advs, ctxs):
-        # Reactive plans depend on each trial's own listen events, so
-        # there is nothing to share across trials; the win here is the
-        # unbudgeted fast path, which skips the per-channel split and
-        # restack of from_virtual + compile.  Run-length-encoding the
-        # sorted virtual cells directly yields the same membership and
-        # cost (interval boundaries may differ at band edges, which
-        # neither the resolver nor the ledger can observe).
-        plans = []
-        for a, c in zip(advs, ctxs):
-            if a.max_total is not None:
-                plans.append(a.plan_phase(c))
-                continue
-            n_react = int(round(a.q * c.length))
-            cells = np.unique(c.listens.slots)
-            if n_react and len(cells):
-                cells = cells[cells % c.length >= c.length - n_react]
-            if not n_react or not len(cells):
-                plans.append(JamPlan.silent(c.n_channels * c.length))
-                continue
-            slots = SlotSet.from_slots(cells)
-            plan = JamPlan._from_normalized(
-                c.n_channels * c.length, slots, {}
+        length, n_virtual = ctx.length, ctx.n_channels * ctx.length
+        n_react = int(round(self.q * length))
+        slots = ctx.listens.slots
+        # The mask makes a copy, which sorted_distinct may sort in place.
+        cells = sorted_distinct(slots[slots % length >= length - n_react])
+        if not len(cells):
+            return JamPlan.silent(n_virtual)
+        if self.max_total is not None and len(cells) > self.max_total - ctx.spent:
+            return (
+                ChannelJamPlan.from_virtual(length, ctx.n_channels, cells)
+                .take_first_cells(self.max_total - ctx.spent)
+                .compile()
             )
-            plan.__dict__["_cost"] = len(slots)
-            plans.append(plan)
-        return plans
+        # Within budget: the band-split runs of the sorted cells are
+        # exactly what from_virtual(...).compile() would stack.
+        _, starts, ends = band_split(length, *runs(cells))
+        plan = JamPlan._from_normalized(
+            n_virtual, SlotSet._unsafe(starts, ends), {}
+        )
+        plan.__dict__["_cost"] = len(cells)
+        return plan
 
 
 class MCBudgetCap(MCAdversary):

@@ -27,10 +27,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.channel.events import JamPlan
-from repro.channel.intervals import SlotSet
+from repro.channel.intervals import SlotSet, runs, sorted_distinct
 from repro.errors import AdversaryError
 
 __all__ = ["ChannelJamPlan"]
+
+
+def band_split(
+    length: int, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split sorted, disjoint virtual-slot intervals at the band edges
+    ``c * length``.
+
+    Returns ``(channel, starts, ends)`` of the pieces, still in virtual
+    coordinates and in input order (so ``channel`` is non-decreasing):
+    exactly the intervals :meth:`ChannelJamPlan.compile` stacks.  Array
+    ops only — a run crossing ``k`` edges is repeated ``k + 1`` times
+    and clipped to its bands.
+    """
+    chan = starts // length
+    n = (ends - 1) // length - chan + 1
+    if len(n) and n.max() > 1:
+        idx = np.repeat(np.arange(len(n)), n)
+        chan = chan[idx] + np.arange(len(idx)) - (np.cumsum(n) - n)[idx]
+        edge = chan * length
+        starts = np.maximum(starts[idx], edge)
+        ends = np.minimum(ends[idx], edge + length)
+    return chan, starts, ends
+
+
+def _split_channels(
+    length: int, starts: np.ndarray, ends: np.ndarray
+) -> dict[int, SlotSet]:
+    """Per-channel schedules of sorted, disjoint virtual-slot intervals
+    (see :func:`band_split`), one ``SlotSet`` view per channel."""
+    chan, starts, ends = band_split(length, starts, ends)
+    if not len(chan):
+        return {}
+    shift = chan * length
+    starts, ends = starts - shift, ends - shift
+    cuts = [0, *(np.flatnonzero(np.diff(chan)) + 1).tolist(), len(chan)]
+    return {
+        int(chan[a]): SlotSet._unsafe(starts[a:b], ends[a:b])
+        for a, b in zip(cuts[:-1], cuts[1:])
+    }
 
 
 @dataclass(frozen=True)
@@ -158,9 +198,8 @@ class ChannelJamPlan:
         jam_rate = (1.0 - eps) * n_channels  # cells per real slot
         k = int(jam_rate)
         n_frac = int(round((jam_rate - k) * length))
-        channels: dict[int, SlotSet] = {
-            c: SlotSet.range(0, length) for c in range(k)
-        }
+        # One shared (immutable) full-phase set for the k full channels.
+        channels = dict.fromkeys(range(k), SlotSet.range(0, length))
         if n_frac and k < n_channels:
             channels[k] = SlotSet.range(0, n_frac)
         return ChannelJamPlan._from_normalized(length, n_channels, channels)
@@ -255,7 +294,7 @@ class ChannelJamPlan:
         """Inverse of :meth:`compile` at the interval level.
 
         Splits the virtual-slot plan's global intervals at band
-        boundaries — O(#intervals + #bands crossed), never
+        boundaries — O(#intervals + #bands crossed) in array ops, never
         materialising cells — so a wrapper (e.g. the budget cap) can
         re-trim a compiled plan time-major.  MC plans are band-global by
         construction; targeted groups and spoofs are not representable.
@@ -269,38 +308,30 @@ class ChannelJamPlan:
             raise AdversaryError(
                 "per-channel schedules cannot represent targeted jams or spoofs"
             )
-        pieces: dict[int, list[tuple[int, int]]] = {}
-        for s, e in zip(plan.global_slots.starts, plan.global_slots.ends):
-            for c in range(int(s) // length, int(e - 1) // length + 1):
-                lo = max(int(s), c * length) - c * length
-                hi = min(int(e), (c + 1) * length) - c * length
-                pieces.setdefault(c, []).append((lo, hi))
-        channels = {
-            # global_slots is sorted and disjoint, so each channel's
-            # pieces arrive sorted and disjoint too.
-            c: SlotSet._unsafe(
-                np.asarray([p[0] for p in ps], dtype=np.int64),
-                np.asarray([p[1] for p in ps], dtype=np.int64),
-            )
-            for c, ps in pieces.items()
-        }
-        return ChannelJamPlan._from_normalized(length, n_channels, channels)
+        gs = plan.global_slots
+        return ChannelJamPlan._from_normalized(
+            length, n_channels, _split_channels(length, gs.starts, gs.ends)
+        )
 
     @staticmethod
     def from_virtual(
         length: int, n_channels: int, virtual_slots
     ) -> "ChannelJamPlan":
         """Inverse of :meth:`compile`: split explicit virtual-slot cells
-        (``c * length + t``) back into per-channel schedules."""
-        arr = np.unique(np.asarray(virtual_slots, dtype=np.int64))
+        (``c * length + t``) back into per-channel schedules.
+
+        Unsorted or duplicated cells are accepted (one ``np.unique``);
+        strictly increasing input skips it.  Then one run-length pass
+        and a band split: O(#cells) in array ops.
+        """
+        arr = np.asarray(virtual_slots, dtype=np.int64).ravel()
+        if len(arr) > 1 and not (arr[1:] > arr[:-1]).all():
+            arr = np.unique(arr)
         if len(arr) and (arr[0] < 0 or arr[-1] >= n_channels * length):
             raise AdversaryError(
                 f"virtual slots outside [0, {n_channels * length})"
             )
-        channels: dict[int, SlotSet] = {}
-        for c in np.unique(arr // length):
-            band = arr[(arr >= c * length) & (arr < (c + 1) * length)]
-            channels[int(c)] = SlotSet.from_slots(band - c * length)
+        channels = _split_channels(length, *runs(arr)) if len(arr) else {}
         return ChannelJamPlan._from_normalized(length, n_channels, channels)
 
     # -- energy accounting --------------------------------------------
@@ -331,8 +362,12 @@ class ChannelJamPlan:
         budget-capped fraction jammer stays a fraction jammer until the
         battery dies rather than degenerating into a one-channel blocker
         (which is what channel-major trimming of the compiled virtual
-        plan would do).  O(total #intervals · log) via a boundary sweep:
-        jamming depth is piecewise-constant between interval boundaries.
+        plan would do).  A boundary sweep finds the cutoff slot in
+        O(total #intervals · log) — jamming depth is piecewise-constant
+        between interval boundaries — then each channel is clipped with
+        one ``searchsorted``, O(#channels · log #intervals).  Channels
+        keep their maximal runs, so the result is interval-for-interval
+        what per-channel set algebra would give.
         """
         n = int(n)
         if n <= 0:
@@ -344,7 +379,7 @@ class ChannelJamPlan:
         order = sorted(self.channels)
         starts = np.sort(np.concatenate([self.channels[c].starts for c in order]))
         ends = np.sort(np.concatenate([self.channels[c].ends for c in order]))
-        bounds = np.unique(np.concatenate([starts, ends]))
+        bounds = sorted_distinct(np.concatenate([starts, ends]))
         # Depth (channels held) within [bounds[j], bounds[j+1]).
         depth = np.searchsorted(starts, bounds, side="right") - np.searchsorted(
             ends, bounds, side="right"
@@ -362,15 +397,17 @@ class ChannelJamPlan:
             # which therefore has depth >= 1.
             cutoff = int(bounds[j]) + excess // int(depth[j])
             remainder = excess % int(depth[j])
-        prefix = SlotSet.range(0, cutoff)
         channels: dict[int, SlotSet] = {}
         for c in order:
-            kept = self.channels[c].intersection(prefix)
-            if remainder > 0 and self.channels[c].contains([cutoff])[0]:
-                kept = kept.union(SlotSet.range(cutoff, cutoff + 1))
-                remainder -= 1
-            if len(kept):
-                channels[c] = kept
+            ss = self.channels[c]
+            stop = cutoff
+            if remainder > 0 and ss.contains([cutoff])[0]:
+                stop, remainder = cutoff + 1, remainder - 1
+            k = int(np.searchsorted(ss.starts, stop))
+            if k:
+                channels[c] = SlotSet._unsafe(
+                    ss.starts[:k], np.minimum(ss.ends[:k], stop)
+                )
         return ChannelJamPlan._from_normalized(
             self.length, self.n_channels, channels
         )

@@ -6,8 +6,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.channel.events import ListenEvents, SendEvents, TxKind
+from repro.channel.events import JamPlan, ListenEvents, SendEvents, TxKind
 from repro.channel.intervals import SlotSet
 from repro.errors import ConfigurationError
 from repro.multichannel import (
@@ -150,6 +152,107 @@ class TestChannelJamPlan:
         assert ChannelJamPlan.from_json(plan.to_json()).channels == plan.channels
 
 
+def _oracle_channels(length, cells):
+    """Brute-force per-channel schedules: materialise every virtual
+    cell as ``(c, t)`` and run-length-encode each channel separately."""
+    cells = np.asarray(cells, dtype=np.int64)
+    return {
+        int(c): SlotSet.from_slots(cells[cells // length == c] % length)
+        for c in np.unique(cells // length)
+    }
+
+
+def _assert_same_channels(got, want):
+    assert sorted(got) == sorted(want)
+    for c, ss in want.items():
+        assert np.array_equal(got[c].starts, ss.starts), c
+        assert np.array_equal(got[c].ends, ss.ends), c
+
+
+@st.composite
+def _grid(draw):
+    """``(C, L, cells)``: cells mix uniform draws with both sides of
+    band edges (``c*L - 1`` and ``c*L``), so runs cross bands."""
+    C, L = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    edges = [e for c in range(1, C) for e in (c * L - 1, c * L)]
+    cell = st.integers(0, C * L - 1)
+    if edges:
+        cell = st.one_of(cell, st.sampled_from(edges))
+    return C, L, draw(st.lists(cell, max_size=60))
+
+
+class TestChannelJamPlanOracle:
+    """The interval-array constructors against a cell-level oracle:
+    exact ``starts``/``ends`` per channel (maximal runs, as
+    ``SlotSet.from_slots`` per channel would give), not just
+    membership."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grid())
+    def test_from_virtual(self, grid):
+        C, L, cells = grid
+        plan = ChannelJamPlan.from_virtual(L, C, np.asarray(cells, np.int64))
+        _assert_same_channels(plan.channels, _oracle_channels(L, cells))
+        assert plan.cost == len(set(cells))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grid(), st.data())
+    def test_from_compiled(self, grid, data):
+        C, L, _ = grid
+        # Global intervals that may span several bands.
+        n = data.draw(st.integers(0, 6))
+        starts = np.asarray(
+            data.draw(st.lists(st.integers(0, C * L - 1), min_size=n, max_size=n)),
+            np.int64,
+        )
+        widths = np.asarray(
+            data.draw(st.lists(st.integers(1, 2 * L + 1), min_size=n, max_size=n)),
+            np.int64,
+        )
+        gs = SlotSet(starts, np.minimum(starts + widths, C * L))
+        plan = ChannelJamPlan.from_compiled(L, C, JamPlan(C * L, gs))
+        _assert_same_channels(plan.channels, _oracle_channels(L, gs.to_slots()))
+        again = plan.compile()
+        assert again.cost == len(gs)
+        assert np.array_equal(again.global_slots.to_slots(), gs.to_slots())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_grid())
+    def test_take_first_cells_every_budget(self, grid):
+        C, L, cells = grid
+        plan = ChannelJamPlan.from_virtual(L, C, np.asarray(cells, np.int64))
+        # Time-major order: by (t, c).
+        ordered = sorted(set(cells), key=lambda v: (v % L, v // L))
+        for n in range(plan.cost + 1):
+            got = plan.take_first_cells(n)
+            _assert_same_channels(got.channels, _oracle_channels(L, ordered[:n]))
+            assert got.cost == n
+
+    def test_literal_interval_across_three_bands(self):
+        L = 8
+        gs = SlotSet.range(L - 2, 2 * L + 3)
+        plan = ChannelJamPlan.from_compiled(L, 4, JamPlan(4 * L, gs))
+        _assert_same_channels(
+            plan.channels,
+            {
+                0: SlotSet.range(L - 2, L),
+                1: SlotSet.range(0, L),
+                2: SlotSet.range(0, 3),
+            },
+        )
+        compiled = plan.compile().global_slots
+        assert compiled.starts.tolist() == [L - 2, L, 2 * L]
+        assert compiled.ends.tolist() == [L, 2 * L, 2 * L + 3]
+
+    def test_from_virtual_rejects_out_of_range(self):
+        from repro.errors import AdversaryError
+
+        with pytest.raises(AdversaryError):
+            ChannelJamPlan.from_virtual(8, 2, [3, 16])
+        with pytest.raises(AdversaryError):
+            ChannelJamPlan.from_virtual(8, 2, [5, -1])
+
+
 class TestCZParams:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -265,6 +368,64 @@ class TestNewMCAdversaries:
             ChannelFollowerJammer(q=1.5)
         with pytest.raises(ConfigurationError):
             MCBudgetCap(FractionJammer(0.5), budget=-1)
+
+
+class TestFollowerPlans:
+    """Follower plans, serial and batched, are interval-for-interval
+    ``ChannelJamPlan.from_virtual(...).compile()`` (after the budget
+    trim, if any) — including listen runs that cross band edges."""
+
+    L, C = 16, 4
+
+    def _ctxs(self):
+        def with_listens(slots, spent):
+            slots = np.asarray(slots, dtype=np.int64)
+            listens = ListenEvents(np.arange(len(slots)) % 3, slots)
+            return dataclasses.replace(
+                ctx(length=self.L, C=self.C, spent=spent), listens=listens
+            )
+
+        L = self.L
+        return [
+            # A run over two band edges, listened to twice.
+            with_listens(np.r_[L - 5 : 2 * L + 4, L - 1 : L + 2], 0),
+            # Scattered cells, unsorted, on both sides of every edge.
+            with_listens([3 * L, L - 1, 2 * L - 1, 2 * L, L, 5, 3 * L - 1], 2),
+            with_listens([], 0),
+        ]
+
+    def _expected(self, adv, c):
+        n_react = int(round(adv.q * self.L))
+        cells = np.unique(c.listens.slots)
+        cells = cells[cells % self.L >= self.L - n_react]
+        cplan = ChannelJamPlan.from_virtual(self.L, self.C, cells)
+        if adv.max_total is not None:
+            cplan = cplan.take_first_cells(adv.max_total - c.spent)
+        return cplan.compile()
+
+    @pytest.mark.parametrize("q", [0.3, 1.0])
+    @pytest.mark.parametrize("max_total", [None, 7])
+    def test_serial_and_batch_match_from_virtual(self, q, max_total):
+        ctxs = self._ctxs()
+        advs = [ChannelFollowerJammer(q, max_total) for _ in ctxs]
+        batch = ChannelFollowerJammer.plan_phase_batch(advs, ctxs)
+        for adv, c, b in zip(advs, ctxs, batch):
+            want = self._expected(adv, c)
+            for got in (adv.plan_phase(c), b):
+                assert got.length == self.C * self.L
+                assert np.array_equal(
+                    got.global_slots.starts, want.global_slots.starts
+                )
+                assert np.array_equal(got.global_slots.ends, want.global_slots.ends)
+                assert got.cost == want.cost
+
+    def test_runs_are_split_at_band_edges(self):
+        c = self._ctxs()[0]
+        plan = ChannelFollowerJammer(1.0).plan_phase(c)
+        L = self.L
+        assert plan.global_slots.starts.tolist() == [L - 5, L, 2 * L]
+        assert plan.global_slots.ends.tolist() == [L, 2 * L, 2 * L + 4]
+        assert plan.cost == L + 9
 
 
 class TestMCSimulator:
