@@ -25,7 +25,10 @@
 #    stage above it).
 # 6b. Runs E1 serially and with --batch 8 and requires the two saved
 #    reports to be byte-identical — the end-to-end gate for the
-#    trial-batched kernel.
+#    trial-batched kernel.  Then runs E1 with every execution knob
+#    composed (--batch 8 -j 2 --cache) against a fresh cache directory,
+#    cold and then warm: both reports must be byte-identical to the
+#    serial one, and the warm run must be served 100% from the cache.
 # 6c. Same gate on E8 (n up to 64 broadcast, includes the n=16 point):
 #    the batched *protocol* layer (next_phase_batch/observe_batch lock-
 #    step driver) must leave multi-node broadcast reports byte-identical
@@ -139,6 +142,22 @@ if ! cmp "$tmp/sparse/E1.json" "$tmp/batched/E1.json"; then
     exit 1
 fi
 echo "OK: E1 report byte-identical serial vs --batch 8"
+
+echo "== CLI byte-identity: composed knobs (run E1 -B 8 -j 2 --cache, cold then warm) =="
+for pass in cold warm; do
+    python -m repro.cli run E1 --seed 11 --batch 8 -j 2 --cache \
+        --cache-dir "$tmp/cache-b8" --save "$tmp/b8-$pass" > "$tmp/b8-$pass.out"
+    if ! cmp "$tmp/sparse/E1.json" "$tmp/b8-$pass/E1.json"; then
+        echo "FAIL: $pass --batch 8 -j 2 --cache report differs from serial report" >&2
+        exit 1
+    fi
+done
+if ! grep -q "(100%" "$tmp/b8-warm.out"; then
+    echo "FAIL: warm --batch 8 -j 2 run was not served entirely from the cache" >&2
+    cat "$tmp/b8-warm.out" >&2
+    exit 1
+fi
+echo "OK: E1 report byte-identical with --batch 8 -j 2 --cache, cold and warm (100% hits)"
 
 echo "== CLI byte-identity: serial vs batched protocols (run E8 -B 8) =="
 python -m repro.cli run E8 --seed 11 --save "$tmp/e8-serial" > /dev/null

@@ -37,8 +37,10 @@ entries are never served — they are simply unreachable until `cache gc`
 drops them.  Because `run_result_to_dict` round-trips bit-for-bit (NaNs
 included) and `[runtime]` notes are excluded from persisted reports, a
 report produced from a warm cache is byte-identical to the cold-run
-report.  Tasks with no canonical form (callable predicates, trace
-recorders, history-keeping runs) execute uncached.  Misses write back
+report.  Trials with no canonical form (callable predicates, trace
+recorders, history-keeping runs) execute uncached and are counted:
+`ExecutorStats.cache_uncached` and the `cache.uncached` telemetry
+counter.  Misses write back
 from inside the worker that computed them, which is what makes an
 interrupted sweep resume: re-running the same command recomputes only
 the missing cells.""",

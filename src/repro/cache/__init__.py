@@ -11,10 +11,10 @@ same engine version and parameters, is never computed again.
 * :mod:`repro.cache.store` persists results in sharded, append-only
   JSONL segments with file locking (safe under forked ``--jobs``
   workers);
-* :func:`cached_run_tasks` is the executor shim used by
-  :func:`repro.experiments.runner.replicate` and
-  :func:`~repro.experiments.runner.sweep_epoch_targets`: look up every
-  task, dispatch only the misses, write each miss back *as it
+* :mod:`repro.experiments.runner` (behind
+  :func:`~repro.experiments.runner.replicate` and
+  :func:`~repro.experiments.runner.sweep_epoch_targets`) looks up every
+  trial, dispatches only the misses, and writes each miss back *as it
   completes* — so an interrupted sweep leaves its finished cells behind
   and the next identical invocation resumes from them.
 
@@ -25,9 +25,6 @@ maintain or to go stale.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable, Sequence
-from typing import Any
 
 from repro.cache.fingerprint import (
     CACHE_KEY_SCHEMA,
@@ -42,7 +39,6 @@ from repro.cache.store import (
     CacheStore,
     default_cache_dir,
 )
-from repro.engine.executor import run_tasks
 
 __all__ = [
     "CACHE_KEY_SCHEMA",
@@ -51,96 +47,9 @@ __all__ = [
     "DEFAULT_GC_BYTES",
     "DEFAULT_MEMORY_ENTRIES",
     "ReadThroughStore",
-    "cached_run_tasks",
     "default_cache_dir",
     "describe",
     "fingerprint",
     "task_key",
 ]
 
-
-def cached_run_tasks(
-    tasks: Sequence[Callable[[], Any]],
-    keys: Sequence[str | None],
-    *,
-    store: CacheStore,
-    resume: bool = True,
-    meta: dict | None = None,
-    run_kwargs: dict | None = None,
-) -> list[Any]:
-    """Run tasks through the cache: serve hits, execute misses, write back.
-
-    ``keys[i]`` is the content key of ``tasks[i]``, or ``None`` when
-    the task could not be fingerprinted (then it always executes and is
-    never stored).  With ``resume=False`` existing entries are ignored
-    but misses are still written back, refreshing the cache in place.
-
-    Results come back in task order, exactly as :func:`run_tasks`
-    returns them — a warm lookup and a cold computation are
-    indistinguishable to the caller.  Hit/miss/byte accounting lands on
-    the :class:`~repro.engine.executor.ExecutorStats` inside
-    ``run_kwargs`` when one is present.
-
-    Each miss writes its own entry from inside the worker that computed
-    it (single locked append), which is what makes interrupted sweeps
-    resumable: everything finished before the abort is already on disk.
-    """
-    tasks = list(tasks)
-    keys = list(keys)
-    if len(keys) != len(tasks):
-        raise ValueError(f"{len(tasks)} tasks but {len(keys)} keys")
-    run_kwargs = dict(run_kwargs or {})
-    stats = run_kwargs.get("stats")
-
-    keyed = [k for k in keys if k is not None]
-    hits, bytes_read = (
-        store.get_many(keyed) if (resume and keyed) else ({}, 0)
-    )
-
-    results: list[Any] = [None] * len(tasks)
-    to_run: list[int] = []
-    n_hits = 0
-    for i, key in enumerate(keys):
-        if key is not None and key in hits:
-            results[i] = hits[key]
-            n_hits += 1
-        else:
-            to_run.append(i)
-
-    def writeback_task(task, key):
-        def wrapped():
-            result = task()
-            n_bytes = store.put(key, result, meta=meta)
-            return result, n_bytes
-        return wrapped
-
-    dispatch = [
-        tasks[i] if keys[i] is None else writeback_task(tasks[i], keys[i])
-        for i in to_run
-    ]
-    fresh = run_tasks(dispatch, **run_kwargs)
-
-    bytes_written = 0
-    n_misses = 0
-    for i, value in zip(to_run, fresh):
-        if keys[i] is None:
-            results[i] = value
-        else:
-            results[i], n_bytes = value
-            bytes_written += n_bytes
-            n_misses += 1
-
-    if stats is not None:
-        stats.cache_hits += n_hits
-        stats.cache_misses += n_misses
-        stats.cache_bytes_read += bytes_read
-        stats.cache_bytes_written += bytes_written
-    from repro.telemetry.sink import get_sink
-
-    sink = get_sink()
-    if sink is not None:
-        sink.counter("cache.hits", n_hits)
-        sink.counter("cache.misses", n_misses)
-        sink.counter("cache.bytes_read", bytes_read)
-        sink.counter("cache.bytes_written", bytes_written)
-    return results

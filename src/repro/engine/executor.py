@@ -85,6 +85,7 @@ class ExecutorStats:
     cache_misses: int = 0
     cache_bytes_read: int = 0
     cache_bytes_written: int = 0
+    cache_uncached: int = 0
     batch_tasks: int = 0
     batch_trials: int = 0
     batch_capacity: int = 0
@@ -142,6 +143,8 @@ class ExecutorStats:
                 f"{self.cache_bytes_read}B read, "
                 f"{self.cache_bytes_written}B written)"
             )
+        if self.cache_uncached:
+            parts.append(f"{self.cache_uncached} trials uncached")
         if self.batch_tasks:
             parts.append(
                 f"batched {self.batch_trials} trials in {self.batch_tasks} "

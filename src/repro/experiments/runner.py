@@ -1,20 +1,23 @@
 """Shared experiment machinery: tables, replication, jam sweeps.
 
-``replicate`` and ``sweep_epoch_targets`` fan their independent
-simulation tasks out through :mod:`repro.engine.executor`; pass a
+``replicate`` and ``sweep_epoch_targets`` describe their trials as
+points (one adversary setting each, with the ``derive`` seed path of
+every replication) and hand them to one dispatcher, ``_run_points``,
+which fans them out through :mod:`repro.engine.executor`; pass a
 :class:`~repro.experiments.registry.RunConfig` via ``config=`` to run
-them on several worker processes.  Seeds are derived per task from
-indices fixed before execution starts, so serial and parallel runs are
-bit-identical.
+them on several worker processes or in ``run_batch`` groups.  Seeds are
+derived per trial from paths fixed before execution starts, so serial,
+parallel and batched runs are bit-identical.
 
-With ``config.cache`` enabled, every task is first looked up in the
+With ``config.cache`` enabled, every trial is first looked up in the
 content-addressed result cache (:mod:`repro.cache`) by a fingerprint of
 its protocol, adversary, simulator options, and derived seed; hits are
 served from disk and misses are written back as they complete, so an
 interrupted sweep resumes from its finished cells on the next identical
-invocation.  Tasks whose inputs cannot be canonically fingerprinted
-(callable predicates, trace recorders, history-keeping runs) simply
-execute uncached.
+invocation.  Trials whose inputs cannot be canonically fingerprinted
+(callable predicates, trace recorders, history-keeping runs) execute
+uncached and are counted in ``ExecutorStats.cache_uncached`` and the
+``cache.uncached`` telemetry counter.
 """
 
 from __future__ import annotations
@@ -115,19 +118,6 @@ class Table:
         return "\n".join(lines)
 
 
-def _executor_kwargs(config) -> dict:
-    """Map a RunConfig (or ``None`` = serial) onto ``run_tasks`` options."""
-    if config is None:
-        return {}
-    return {
-        "jobs": config.jobs,
-        "timeout": config.timeout,
-        "retries": config.retries,
-        "stats": config.stats,
-        "pool": getattr(config, "pool", None),
-    }
-
-
 def _fingerprint_base(
     config, store, kind: str, make_protocol, sim_kwargs: dict
 ) -> dict | None:
@@ -171,121 +161,136 @@ def _group_keys(base: dict | None, make_adversary, seed_paths) -> list:
     return [task_key(with_adv, path) for path in seed_paths]
 
 
-def _dispatch(tasks, keys, config, store) -> list:
-    """Run tasks through the cache when one is configured, else
-    straight through the executor."""
-    kwargs = _executor_kwargs(config)
-    if store is None or all(k is None for k in keys):
-        return run_tasks(tasks, **kwargs)
-    from repro.cache import cached_run_tasks
-
-    return cached_run_tasks(
-        tasks,
-        keys,
-        store=store,
-        resume=config.resume,
-        meta={"experiment": config.experiment},
-        run_kwargs=kwargs,
-    )
+#: One adversary setting: its factory and the ``derive`` path of each
+#: replication run against it.
+_Point = tuple[Callable[[], Adversary], Sequence[tuple[int, ...]]]
 
 
-def _resolve_batch(config) -> int:
-    """Trials per executor task (``1`` = the historical one-run tasks)."""
-    if config is None:
-        return 1
-    batch = getattr(config, "batch", 1)
+def _run_points(
+    make_protocol: Callable[[], Protocol],
+    points: Sequence[_Point],
+    kind: str,
+    config,
+    sim_kwargs: dict,
+) -> list[list[RunResult]]:
+    """Run every trial of every point; results come back per point, in
+    path order.
+
+    Trial ``path`` of a point runs on ``derive(*path)``, derived inside
+    the task body so a retried task starts from a fresh stream.  With a
+    cache store configured, all trials are looked up in one
+    ``get_many`` and hits are served in place (``config.resume = False``
+    skips the lookup, so every trial runs and rewrites its entry).
+    Each point's misses are chunked into groups of at most
+    ``config.batch`` trials, never across points (one ``run_batch``
+    call uses one adversary factory), and each group runs as one
+    executor task: ``Simulator.run`` when ``batch == 1``, ``run_batch``
+    above it.  Every cacheable trial writes its own entry back from
+    inside the worker, so an interrupted sweep leaves its finished cells
+    behind and batching changes neither the cache granularity nor the
+    bits: a trial's streams do not depend on which group it ran in.
+    """
+    batch = 1 if config is None else getattr(config, "batch", 1)
     if batch < 1:
         raise ConfigurationError(f"batch must be >= 1, got {batch}")
-    return batch
-
-
-def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> list:
-    """Batched counterpart of :func:`_dispatch`.
-
-    ``spans`` are ``(start, stop)`` trial-index ranges that may share
-    one ``run_batch`` task — one span per adversary setting, since a
-    batch is built from a single pair of factories.  Cache hits are
-    served individually; the remaining misses of each span are chunked
-    into groups of at most ``batch`` trials and each group runs as one
-    executor task.  Every cacheable trial still writes its *own* entry
-    back from inside the worker, so batching changes neither the cache
-    granularity nor resumability — and because each trial's rng streams
-    are independent of batch composition, a chunk thinned by cache hits
-    produces the same bits as a full one.
-    """
-    kwargs = _executor_kwargs(config)
-    stats = kwargs.get("stats")
-    n = spans[-1][1] if spans else 0
-    results: list = [None] * n
+    if config is not None and config.history:
+        sim_kwargs.setdefault("keep_history", True)
+    store = config.resolve_cache_store() if config is not None else None
+    base = _fingerprint_base(config, store, kind, make_protocol, sim_kwargs)
+    trials = [(adv, path) for adv, paths in points for path in paths]
+    keys = [
+        key for adv, paths in points for key in _group_keys(base, adv, paths)
+    ]
 
     hits: dict = {}
     bytes_read = 0
-    if store is not None and config.resume:
-        keyed = [k for k in keys if k is not None]
-        if keyed:
-            hits, bytes_read = store.get_many(keyed)
+    keyed = [k for k in keys if k is not None]
+    if keyed and config.resume:
+        hits, bytes_read = store.get_many(keyed)
+    results = [hits.get(k) for k in keys]
 
+    spans: list[tuple[int, int]] = []
     groups: list[list[int]] = []
-    for start, stop in spans:
-        miss = [
-            i for i in range(start, stop)
-            if keys[i] is None or keys[i] not in hits
-        ]
+    stop = 0
+    for _, paths in points:
+        start, stop = stop, stop + len(paths)
+        spans.append((start, stop))
+        miss = [i for i in range(start, stop) if keys[i] not in hits]
         groups.extend(miss[j : j + batch] for j in range(0, len(miss), batch))
-    for i in range(n):
-        if keys[i] is not None and keys[i] in hits:
-            results[i] = hits[keys[i]]
 
-    meta = {"experiment": config.experiment}
+    meta = {"experiment": config.experiment} if store is not None else None
 
-    def wrap(group):
-        task = make_group_task(group)
-        if store is None or all(keys[i] is None for i in group):
-            return lambda: (task(), 0)
+    def make_task(group: list[int]) -> Callable[[], tuple[list[RunResult], int]]:
+        make_adversary = trials[group[0]][0]
+        paths = [trials[i][1] for i in group]
+        group_keys = [keys[i] for i in group]
 
-        def wrapped():
-            values = task()
+        def task() -> tuple[list[RunResult], int]:
+            sim = Simulator(make_protocol(), make_adversary(), **sim_kwargs)
+            if batch == 1:
+                values = [sim.run(derive(*paths[0]))]
+            else:
+                values = list(
+                    sim.run_batch(
+                        [derive(*path) for path in paths],
+                        make_protocol=make_protocol,
+                        make_adversary=make_adversary,
+                    )
+                )
             n_bytes = sum(
-                store.put(keys[i], v, meta=meta)
-                for i, v in zip(group, values)
-                if keys[i] is not None
+                store.put(key, value, meta=meta)
+                for key, value in zip(group_keys, values)
+                if key is not None
             )
             return values, n_bytes
 
-        return wrapped
+        return task
 
-    outs = run_tasks([wrap(g) for g in groups], **kwargs)
+    kwargs = {}
+    if config is not None:
+        # The limit is per replication, and a group holds up to `batch`.
+        timeout = config.timeout
+        kwargs = {
+            "jobs": config.jobs,
+            "timeout": timeout * batch if timeout is not None else None,
+            "retries": config.retries,
+            "stats": config.stats,
+            "pool": getattr(config, "pool", None),
+        }
+    outs = run_tasks([make_task(g) for g in groups], **kwargs)
 
     bytes_written = 0
     for group, (values, n_bytes) in zip(groups, outs):
         bytes_written += n_bytes
-        for i, v in zip(group, values):
-            results[i] = v
+        for i, value in zip(group, values):
+            results[i] = value
 
-    n_trials_run = sum(len(g) for g in groups)
-    if stats is not None:
+    stats = kwargs.get("stats")
+    if stats is not None and batch > 1:
         stats.batch_tasks += len(groups)
-        stats.batch_trials += n_trials_run
+        stats.batch_trials += sum(len(g) for g in groups)
         stats.batch_capacity += len(groups) * batch
-    if store is not None and any(k is not None for k in keys):
-        n_hits = sum(
-            1 for k in keys if k is not None and k in hits
-        )
-        n_misses = sum(1 for g in groups for i in g if keys[i] is not None)
+    if store is not None:
+        n_hits = sum(1 for k in keys if k in hits)
+        n_misses = len(keyed) - n_hits
+        n_uncached = len(keys) - len(keyed)
         if stats is not None:
             stats.cache_hits += n_hits
             stats.cache_misses += n_misses
             stats.cache_bytes_read += bytes_read
             stats.cache_bytes_written += bytes_written
+            stats.cache_uncached += n_uncached
         from repro.telemetry.sink import get_sink
 
         sink = get_sink()
-        if sink is not None:
+        if sink is not None and keyed:
             sink.counter("cache.hits", n_hits)
             sink.counter("cache.misses", n_misses)
             sink.counter("cache.bytes_read", bytes_read)
             sink.counter("cache.bytes_written", bytes_written)
-    return results
+        if sink is not None and n_uncached:
+            sink.counter("cache.uncached", n_uncached)
+    return [results[start:stop] for start, stop in spans]
 
 
 def replicate(
@@ -321,47 +326,13 @@ def replicate(
     """
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
-    if config is not None and config.history:
-        sim_kwargs.setdefault("keep_history", True)
-    batch = _resolve_batch(config)
     kind = "replicate"
     if n_channels is not None:
         kind = "mc_replicate"
         sim_kwargs["n_channels"] = n_channels
-
-    store = config.resolve_cache_store() if config is not None else None
-    base = _fingerprint_base(config, store, kind, make_protocol, sim_kwargs)
-    keys = _group_keys(base, make_adversary, [(seed, r) for r in range(n_reps)])
-
-    if batch > 1:
-
-        def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
-            def task() -> list[RunResult]:
-                sim = Simulator(make_protocol(), make_adversary(), **sim_kwargs)
-                return list(
-                    sim.run_batch(
-                        [derive(seed, r) for r in group],
-                        make_protocol=make_protocol,
-                        make_adversary=make_adversary,
-                    )
-                )
-
-            return task
-
-        return _dispatch_batched(
-            [(0, n_reps)], make_batch_task, keys, config, store, batch
-        )
-
-    def make_task(r: int) -> Callable[[], RunResult]:
-        def task() -> RunResult:
-            sim = Simulator(make_protocol(), make_adversary(), **sim_kwargs)
-            return sim.run(derive(seed, r))
-
-        return task
-
-    return _dispatch(
-        [make_task(r) for r in range(n_reps)], keys, config, store
-    )
+    point = (make_adversary, [(seed, r) for r in range(n_reps)])
+    (results,) = _run_points(make_protocol, [point], kind, config, sim_kwargs)
+    return results
 
 
 def mc_replicate(*args, n_channels: int, **kwargs) -> list[RunResult]:
@@ -424,69 +395,17 @@ def sweep_epoch_targets(
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
     targets = list(targets)
-    if config is not None and config.history:
-        sim_kwargs.setdefault("keep_history", True)
-    batch = _resolve_batch(config)
-
-    store = config.resolve_cache_store() if config is not None else None
-    base = _fingerprint_base(
-        config, store, "sweep_epoch_targets", make_protocol, sim_kwargs
-    )
-    keys = [
-        key
-        for t in targets
-        for key in _group_keys(
-            base,
+    points = [
+        (
             lambda t=t: make_adversary(t),
             [(seed + 1000 * t, r) for r in range(n_reps)],
         )
+        for t in targets
     ]
-
-    if batch > 1:
-        # Batches never straddle targets: one run_batch call uses one
-        # adversary factory, and each target is a different adversary.
-        spans = [(ti * n_reps, (ti + 1) * n_reps) for ti in range(len(targets))]
-
-        def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
-            target = targets[group[0] // n_reps]
-
-            def task() -> list[RunResult]:
-                sim = Simulator(
-                    make_protocol(), make_adversary(target), **sim_kwargs
-                )
-                return list(
-                    sim.run_batch(
-                        [
-                            derive(seed + 1000 * target, i % n_reps)
-                            for i in group
-                        ],
-                        make_protocol=make_protocol,
-                        make_adversary=lambda: make_adversary(target),
-                    )
-                )
-
-            return task
-
-        flat = _dispatch_batched(
-            spans, make_batch_task, keys, config, store, batch
-        )
-        return [
-            _aggregate_point(target, flat[i * n_reps : (i + 1) * n_reps], n_reps)
-            for i, target in enumerate(targets)
-        ]
-
-    def make_task(target: int, r: int) -> Callable[[], RunResult]:
-        def task() -> RunResult:
-            sim = Simulator(
-                make_protocol(), make_adversary(target), **sim_kwargs
-            )
-            return sim.run(derive(seed + 1000 * target, r))
-
-        return task
-
-    tasks = [make_task(t, r) for t in targets for r in range(n_reps)]
-    flat = _dispatch(tasks, keys, config, store)
+    per_point = _run_points(
+        make_protocol, points, "sweep_epoch_targets", config, sim_kwargs
+    )
     return [
-        _aggregate_point(target, flat[i * n_reps : (i + 1) * n_reps], n_reps)
-        for i, target in enumerate(targets)
+        _aggregate_point(target, results, n_reps)
+        for target, results in zip(targets, per_point)
     ]

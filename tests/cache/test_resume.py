@@ -100,12 +100,15 @@ class TestReplicateCache:
         )
         assert len(results) == 2
         assert config.stats.cache_requests == 0
+        assert config.stats.cache_uncached == 2
+        assert "2 trials uncached" in config.stats.summary()
 
     def test_history_runs_bypass(self, tmp_path):
         config = cache_config(tmp_path, history=True)
         results = run_replicate(config, n_reps=2)
         assert all(r.phase_history for r in results)
         assert config.stats.cache_requests == 0
+        assert config.stats.cache_uncached == 2
 
     def test_parallel_jobs_share_cache(self, tmp_path):
         cold = run_replicate(cache_config(tmp_path, jobs=2))

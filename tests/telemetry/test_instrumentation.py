@@ -13,10 +13,9 @@ import pytest
 from repro.adversaries import SilentAdversary
 from repro.arena.search import evolve, random_search
 from repro.arena.space import StrategySpace, protocol_factory
-from repro.cache import cached_run_tasks
-from repro.cache.store import CacheStore
 from repro.engine.simulator import run
 from repro.experiments import RunConfig, run_experiment
+from repro.experiments.runner import replicate
 from repro.protocols import OneToOneBroadcast, OneToOneParams
 from repro.telemetry import deactivate, read_events, session
 
@@ -119,23 +118,18 @@ class TestMultichannelObservability:
 
 
 class TestCacheTelemetry:
-    def _tasks(self, n):
-        keys = [f"{i:064x}" for i in range(n)]
-        tasks = [
-            lambda i=i: run(
-                OneToOneBroadcast(OneToOneParams.sim()),
-                SilentAdversary(), seed=i,
-            )
-            for i in range(n)
-        ]
-        return keys, tasks
-
     def test_miss_then_hit_counters_and_put_spans(self, tmp_path):
-        store = CacheStore(tmp_path / "cache")
-        keys, tasks = self._tasks(3)
+        def cached_replicate():
+            replicate(
+                lambda: OneToOneBroadcast(OneToOneParams.sim()),
+                SilentAdversary,
+                3,
+                config=RunConfig(cache=True, cache_dir=tmp_path / "cache"),
+            )
+
         with session(tmp_path / "tele") as sink:
-            cached_run_tasks(tasks, keys, store=store)  # all misses
-            cached_run_tasks(tasks, keys, store=store)  # all hits
+            cached_replicate()  # all misses
+            cached_replicate()  # all hits
         events = read_events(sink.run_dir)
         counters = {}
         for e in events:
@@ -145,6 +139,7 @@ class TestCacheTelemetry:
         assert counters["cache.hits"] == 3
         assert counters["cache.bytes_written"] > 0
         assert counters["cache.bytes_read"] > 0
+        assert "cache.uncached" not in counters
         assert len(events_named(sink.run_dir, "cache.put")) == 3
         get_spans = events_named(sink.run_dir, "cache.get_many")
         assert [s["attrs"]["hits"] for s in get_spans] == [0, 3]
